@@ -35,7 +35,7 @@ from .ensemble import (
     run_ensemble,
     summarize,
 )
-from .enumeration import EnumerationTooLarge, exact_stopping_law, outcome_bits
+from .enumeration import MAX_OUTCOME_BITS, EnumerationTooLarge, exact_stopping_law, outcome_bits
 from .output import write_samples, write_summary, write_survival
 from .presets import PRESET_NAMES, preset, preset_variants
 from .projected import hitting_time_td
@@ -48,9 +48,6 @@ EXIT_RUNTIME = 4
 EXIT_RESOURCE = 5
 
 ENV_WORKERS = "HKLAB_WORKERS"
-
-# Exhaustive enumeration is refused beyond this many outcome bits.
-ENUM_BITS_LIMIT = 24
 
 
 def _resolve_workers(cfg: ExperimentConfig, flag: int | None) -> int:
@@ -117,6 +114,7 @@ def _run_hitting(cfg: ExperimentConfig, workers: int, out: Path) -> int:
         except EnsembleError as err:
             if err.partial is None:
                 raise
+            print(f"runtime error: {err}", file=sys.stderr)
             samples, summary = err.partial.samples, err.partial.summary
             incomplete = True
     elif cfg.scenario == "projected":
@@ -265,10 +263,10 @@ def _cmd_enumerate(args) -> int:
         )
     horizon = cfg.ensemble.horizon
     bits = outcome_bits(model.n, model.d, horizon)
-    if bits > ENUM_BITS_LIMIT:
+    if bits > MAX_OUTCOME_BITS:
         print(
             f"refusing exhaustive enumeration: 2^(n*d*horizon) = 2^{bits} outcomes "
-            f"exceeds 2^{ENUM_BITS_LIMIT}",
+            f"exceeds 2^{MAX_OUTCOME_BITS}",
             file=sys.stderr,
         )
         return EXIT_RESOURCE

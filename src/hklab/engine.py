@@ -19,8 +19,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BOX_HI, BOX_LO, ModelConfig, clamp_to_box, sq_norm_last
-from .neighbors import NeighborIndex, resolve_mode
+from .model import (
+    BOX_HI,
+    BOX_LO,
+    ModelConfig,
+    hk_step,
+    neighbor_sums,
+    pairwise_sq_dists,
+    sq_norm_last,
+)
+from .neighbors import NeighborIndex, max_sq_dist, resolve_mode
 from .noise import noise_block, uniforms_per_draw
 from .prng import run_keys
 
@@ -30,8 +38,9 @@ MAGNITUDE_GUARD = 1e12
 # Lockstep batches are worthwhile only for small per-run systems.
 _LOCKSTEP_MAX_N = 128
 
-# Target element count for one pre-generated noise chunk.
-_CHUNK_ELEMS = 16_000_000
+# Target element count for one pre-generated noise chunk.  4M uniforms
+# (32 MB) bound a batch's transient memory; larger chunks were no faster.
+_CHUNK_ELEMS = 4_000_000
 
 # Steps per chunk stay below this even when few runs remain.
 _CHUNK_STEPS = 4096
@@ -41,51 +50,27 @@ _CHUNK_STEPS = 4096
 _RUN_SLICE = 8192
 
 
-def _gram_sq_dists(states: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Pairwise squared distances for a batch, shape (A, n, n).
-
-    Uses ||x_i||^2 + ||x_j||^2 - 2<x_i, x_j> with a batched matmul for
-    the inner products.  Cancellation can produce values a few ulp from
-    the subtraction-based form (tiny negatives included), which only
-    shifts threshold comparisons at knife-edge distances; dyadic states
-    such as the sign-noise micro-instances are exact either way.
-    """
-    g = np.matmul(states, states.transpose(0, 2, 1))
-    nrm2 = np.einsum("aii->ai", g).copy()
-    if out is None:
-        out = g
-    np.multiply(g, -2.0, out=out)
-    out += nrm2[:, :, None]
-    out += nrm2[:, None, :]
-    return out
-
-
 class _StepBuffers:
     """Preallocated per-chunk workspaces; steps reuse them in place.
 
     The batched update allocates ~5 MB of temporaries per step without
-    these, which dominates runtime for long horizons.  Every operation
+    these, which dominates runtime for long horizons.  d2 holds the
+    model.pairwise_sq_dists distances of the current states: they give
+    both the sync check and the next step's adjacency.  Every operation
     writes through ``out=`` into the same arrays the allocating form
     would produce, so results are bit-identical.
     """
 
     def __init__(self, a: int, n: int, d: int):
-        self.g = np.empty((a, n, n))
         self.d2 = np.empty((a, n, n))
-        self.adj_bool = np.empty((a, n, n), dtype=bool)
         self.adj = np.empty((a, n, n))
         self.deg = np.empty((a, n))
         self.new = np.empty((a, n, d))
-        self.dv2 = np.empty(a)
 
-    def sq_dists(self, states: np.ndarray) -> None:
-        np.matmul(states, states.transpose(0, 2, 1), out=self.g)
-        nrm2 = np.einsum("aii->ai", self.g).copy()
-        np.multiply(self.g, -2.0, out=self.d2)
-        self.d2 += nrm2[:, :, None]
-        self.d2 += nrm2[:, None, :]
-        a = states.shape[0]
-        np.max(self.d2.reshape(a, -1), axis=1, out=self.dv2)
+    def distances(self, states: np.ndarray) -> np.ndarray:
+        """Fill d2 from states; returns each run's largest squared distance."""
+        pairwise_sq_dists(states, out=self.d2)
+        return self.d2.reshape(self.d2.shape[0], -1).max(axis=1)
 
 
 @dataclass(frozen=True)
@@ -246,8 +231,7 @@ def run_batch(
 
     live = np.arange(a0)
     buf = _StepBuffers(a0, n, d)
-    buf.sq_dists(states)
-    dv2 = buf.dv2
+    dv2 = buf.distances(states)
     hit0 = dv2 <= eps2
     hit_all[hit0] = True
     t_hit_all[hit0] = 0
@@ -279,10 +263,7 @@ def run_batch(
             tk = t + k + 1
             running = tk <= deadline
             # Adjacency comes from the previous step's distances in buf.d2.
-            np.less_equal(buf.d2, eps2, out=buf.adj_bool)
-            buf.adj[...] = buf.adj_bool
-            np.sum(buf.adj, axis=2, out=buf.deg)
-            np.matmul(buf.adj, states, out=buf.new)
+            neighbor_sums(buf.d2, states, cfg.epsilon, out=buf.new, adj=buf.adj, deg=buf.deg)
             buf.new /= buf.deg[..., None]
             buf.new += xi[:, k]
             if bounded:
@@ -291,8 +272,7 @@ def run_batch(
                 states, buf.new = buf.new, states
             else:
                 states = np.where(running[:, None, None], buf.new, states)
-            buf.sq_dists(states)
-            dv2 = buf.dv2
+            dv2 = buf.distances(states)
             synced = dv2 <= eps2
             newly = running & ~hit_live & synced
             if newly.any():
@@ -310,7 +290,7 @@ def run_batch(
                 censoring = running & ~hit_live
                 if censoring.any():
                     dve_all[live[censoring]] = np.sqrt(dv2[censoring])
-            if recorder:
+            if recorder and running[0]:
                 recorder.observe(tk, states[0], float(dv2[0]), final=bool(deadline[0] == tk))
         t += b
         if not bounded and np.abs(states).max() > guard:
@@ -342,20 +322,18 @@ def _dv2_large(states: np.ndarray, eps2: float):
     """(is_hit, dv2_or_None) with an O(n d) prune before the O(n^2) scan.
 
     If some coordinate range alone exceeds epsilon the pair realizing
-    it is at least that far apart, so the run cannot be synchronized;
-    the exact scan happens only for near-synchronized snapshots.
+    it is at least that far apart, so the run cannot be synchronized.
+    The prune's square is the very term pairwise_sq_dists adds for that
+    pair, and adding nonnegative terms never rounds below one of them,
+    so it never contradicts the full scan, which runs only for
+    near-synchronized snapshots.
     """
     lo = states.min(axis=0)
     hi = states.max(axis=0)
     rng = hi - lo
     if np.max(rng * rng) > eps2:
         return False, None
-    d2max = 0.0
-    n = states.shape[0]
-    block = max(1, _CHUNK_ELEMS // max(1, n))
-    for a in range(0, n, block):
-        chunk = sq_norm_last(states[a : a + block, None, :] - states[None, :, :])
-        d2max = max(d2max, float(chunk.max()))
+    d2max = max_sq_dist(states)
     return d2max <= eps2, d2max
 
 
@@ -363,7 +341,6 @@ def _run_single_large(cfg, base_seed, run_index, horizon, extra_after_hit, recor
     """Per-step grid-indexed path for systems too large to batch."""
     n, d = cfg.n, cfg.d
     eps2 = cfg.epsilon * cfg.epsilon
-    bounded = cfg.space_mode == "bounded"
     mode = resolve_mode("auto", n, d)
     states = cfg.initial.build(n, d, cfg.epsilon)
     key = run_keys(base_seed, [run_index])
@@ -381,11 +358,8 @@ def _run_single_large(cfg, base_seed, run_index, horizon, extra_after_hit, recor
         t += 1
         xi = noise_block(cfg.noise, key, [t], n, d)[0, 0]
         index = NeighborIndex(states, cfg.epsilon, mode=mode)
-        sums, deg = index.neighbor_sums()
-        states = sums / deg[:, None] + xi
-        if bounded:
-            states = clamp_to_box(states)
-        elif np.abs(states).max() > guard:
+        states = hk_step(states, xi, cfg.epsilon, cfg.space_mode, index=index)
+        if cfg.space_mode == "unbounded" and np.abs(states).max() > guard:
             raise RuntimeError(
                 f"state magnitude exceeded guard {guard:g} at t={t} "
                 f"(run_index={run_index}); aborting"
@@ -398,10 +372,7 @@ def _run_single_large(cfg, base_seed, run_index, horizon, extra_after_hit, recor
             absorb_ok = False
         if not hit and t == horizon:
             if d2m is None:
-                d2m = max(
-                    float(sq_norm_last(states[a : a + 1] - states).max())
-                    for a in range(n)
-                )
+                d2m = max_sq_dist(states)
             dve = float(np.sqrt(d2m))
         if recorder:
             recorder.observe(t, states, d2m if d2m is not None else np.nan, final=t == deadline)

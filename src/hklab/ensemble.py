@@ -271,6 +271,26 @@ def _ensemble_worker(args) -> BatchResult:
     return run_batch(cfg, base_seed, idxs, horizon, extra_after_hit=extra)
 
 
+def _settle(fn, *args):
+    """fn(*args), or the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as err:  # reported per chunk by run_ensemble
+        return err
+
+
+def _assemble(results, horizon, base_seed, extra_after_hit, incomplete=False) -> EnsembleResult:
+    samples = [s for r in results for s in r.samples]
+    absorb = None
+    if extra_after_hit:
+        absorb = np.concatenate([r.absorb_ok for r in results])
+    return EnsembleResult(
+        samples=samples,
+        summary=summarize(samples, horizon, base_seed, incomplete=incomplete),
+        absorb_ok=absorb,
+    )
+
+
 def run_ensemble(
     cfg: ModelConfig,
     runs: int,
@@ -282,39 +302,29 @@ def run_ensemble(
     """M independent runs, distributable over worker processes.
 
     The per-run noise streams are counter-based, so the samples are
-    bit-identical for every worker count and chunking.
+    bit-identical for every worker count and chunking.  When a chunk
+    raises, EnsembleError names its runs and carries the chunks that
+    completed as ``partial`` (None when none did).
     """
     if runs < 1:
         raise ValueError("need at least one run")
     indices = np.arange(runs, dtype=np.int64)
     chunks = [c for c in np.array_split(indices, max(1, workers)) if c.size]
     jobs = [(cfg, base_seed, c, horizon, extra_after_hit) for c in chunks]
-    results: list[BatchResult] = []
     if workers <= 1 or len(jobs) == 1:
-        for job in jobs:
-            results.append(_ensemble_worker(job))
+        outcomes = [_settle(_ensemble_worker, job) for job in jobs]
     else:
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_ensemble_worker, jobs))
-        except Exception as err:
-            done = [s for r in results for s in r.samples]
-            partial = None
-            if done:
-                partial = EnsembleResult(
-                    samples=done,
-                    summary=summarize(done, horizon, base_seed, incomplete=True),
-                )
-            raise EnsembleError(f"ensemble aborted: {err}", partial=partial) from err
-    samples = [s for r in results for s in r.samples]
-    absorb = None
-    if extra_after_hit:
-        absorb = np.concatenate([r.absorb_ok for r in results])
-    return EnsembleResult(
-        samples=samples,
-        summary=summarize(samples, horizon, base_seed),
-        absorb_ok=absorb,
-    )
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(_ensemble_worker, job) for job in jobs]
+            outcomes = [_settle(f.result) for f in futures]
+    done = [r for r in outcomes if isinstance(r, BatchResult)]
+    if len(done) == len(outcomes):
+        return _assemble(done, horizon, base_seed, extra_after_hit)
+    partial = _assemble(done, horizon, base_seed, extra_after_hit, incomplete=True) if done else None
+    failed = [(c, r) for c, r in zip(chunks, outcomes) if not isinstance(r, BatchResult)]
+    missing = ", ".join(f"{c[0]}-{c[-1]}" for c, _ in failed)
+    err = failed[0][1]
+    raise EnsembleError(f"ensemble aborted, runs {missing} missing: {err}", partial=partial) from err
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,13 @@ so each agent is its own neighbor).  One step replaces every row by the
 mean of its neighbor rows plus a noise row; in bounded mode the result
 is clamped coordinatewise to [-1, 1] after the noise is added.
 
-All threshold comparisons happen in squared-distance space through one
-canonical expression (sq_norm_last of a difference, einsum-based) so
-that every code path -- brute-force scan, grid index, batched engine --
-reaches bit-identical accept/reject decisions.
+Every path -- the batched engine, the grid index, the brute scan and
+the projected hk_mean map -- takes its distances from pairwise_sq_dists
+and its neighbor sums from neighbor_sums.  The distance is one
+expression: per coordinate subtract and square, then add the
+coordinates in order (sq_norm_last adds in the same order).  It depends
+only on differences, so translated states reach the same threshold
+decisions, and all paths reach bit-identical accept/reject decisions.
 """
 
 from __future__ import annotations
@@ -34,14 +37,47 @@ _SQRT2 = np.sqrt(2.0)
 
 
 def sq_norm_last(v: np.ndarray) -> np.ndarray:
-    """Canonical squared Euclidean norm along the last axis."""
-    return np.einsum("...k,...k->...", v, v)
+    """Squared Euclidean norm along the last axis, coordinates added in order."""
+    out = np.square(v[..., 0])
+    for k in range(1, v.shape[-1]):
+        out += np.square(v[..., k])
+    return out
 
 
-def pairwise_sq_dists(x: np.ndarray) -> np.ndarray:
-    """All-pairs squared distances: (..., n, d) -> (..., n, n)."""
-    diff = x[..., :, None, :] - x[..., None, :, :]
-    return sq_norm_last(diff)
+def pairwise_sq_dists(
+    x: np.ndarray, y: np.ndarray | None = None, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Squared distances between rows: (..., p, d) x (..., q, d) -> (..., p, q).
+
+    y defaults to x.  Per coordinate the rows are subtracted and the
+    difference squared; the coordinates are added in order into ``out``
+    when given.  Entry [i, j] therefore equals sq_norm_last(x[i] - y[j])
+    bit for bit, for every d.
+    """
+    xs = x[..., :, None, :]
+    ys = (x if y is None else y)[..., None, :, :]
+    out = np.subtract(xs[..., 0], ys[..., 0], out=out)
+    np.square(out, out=out)
+    tmp = None
+    for k in range(1, x.shape[-1]):
+        tmp = np.subtract(xs[..., k], ys[..., k], out=tmp)
+        out += np.square(tmp, out=tmp)
+    return out
+
+
+def neighbor_sums(d2: np.ndarray, x: np.ndarray, epsilon: float, out=None, adj=None, deg=None):
+    """Neighbor row sums (..., p, d) and counts (..., p) from squared distances.
+
+    d2 (..., p, q) holds the distances from p agents to the q rows of
+    x (..., q, d).  The 0/1 adjacency d2 <= epsilon^2 sums the rows by
+    one matmul, so the summation order is fixed by the shapes alone.
+    The optional buffers are written in place; a step's neighbor mean
+    is sums / deg.
+    """
+    if adj is None:
+        adj = np.empty(d2.shape)
+    np.less_equal(d2, epsilon * epsilon, out=adj)
+    return np.matmul(adj, x, out=out), adj.sum(axis=-1, out=deg)
 
 
 def clamp_to_box(x: np.ndarray, lo: float = BOX_LO, hi: float = BOX_HI) -> np.ndarray:
@@ -51,7 +87,7 @@ def clamp_to_box(x: np.ndarray, lo: float = BOX_LO, hi: float = BOX_HI) -> np.nd
 
 def neighbor_set(states: np.ndarray, i: int, epsilon: float) -> np.ndarray:
     """Indices j with ||x_j - x_i|| <= epsilon, ascending; always contains i."""
-    d2 = sq_norm_last(states - states[i])
+    d2 = pairwise_sq_dists(states[i : i + 1], states)[0]
     return np.flatnonzero(d2 <= epsilon * epsilon)
 
 
@@ -94,10 +130,7 @@ def hk_step(
     if index is not None:
         sums, deg = index.neighbor_sums(epsilon)
     else:
-        d2 = pairwise_sq_dists(states)
-        adj = (d2 <= epsilon * epsilon).astype(np.float64)
-        deg = adj.sum(axis=1)
-        sums = np.einsum("ij,jd->id", adj, states)
+        sums, deg = neighbor_sums(pairwise_sq_dists(states), states, epsilon)
     out = sums / deg[:, None] + noise
     if space_mode == "bounded":
         out = clamp_to_box(out)

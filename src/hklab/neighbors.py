@@ -1,10 +1,12 @@
 """Fixed-radius neighbor queries: brute-force scan and uniform grid.
 
-The grid buckets agents into cells of side exactly epsilon (integer
-cell = floor(coordinate / epsilon)), so any neighbor of an agent lies
-in the 3^d surrounding cells.  Candidates are then filtered with the
-same canonical squared-distance comparison the brute path uses, which
-makes the two modes return bit-equal neighbor sets by construction.
+The grid buckets agents into cells of side s >= epsilon (integer cell =
+floor(coordinate / s)), so any neighbor of an agent lies in the 3^d
+surrounding cells.  Both modes take distances from the one
+expression model.pairwise_sq_dists and sums from model.neighbor_sums:
+brute over row blocks against all agents, grid over each cell's agents
+against its candidates.  The two modes therefore return bit-equal
+neighbor sets by construction.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import itertools
 
 import numpy as np
 
-from .model import sq_norm_last
+from .model import neighbor_sums, pairwise_sq_dists
 
 MODES = ("brute", "grid", "auto")
 
@@ -23,6 +25,12 @@ _BRUTE_BLOCK_ELEMS = 4_000_000
 # Refuse explicit grid mode when the stencil itself is astronomically big.
 _MAX_STENCIL = 1 << 20
 
+# Fixed cost of one grid cell's neighbor_sums pass in candidate-pair units
+# (~30 us per cell against ~5 ns per pair on a 2-vCPU x86 host).  Doubling
+# the cell side multiplies agents per cell by 2^d and candidate pairs by 4^d;
+# with rho agents per occupied side-epsilon cell it pays when rho^2 * 6^d < this.
+_CELL_COST = 6000
+
 
 def resolve_mode(mode: str, n: int, d: int) -> str:
     """auto picks the grid only when the 3^d stencil is smaller than n."""
@@ -31,6 +39,15 @@ def resolve_mode(mode: str, n: int, d: int) -> str:
     if mode != "auto":
         return mode
     return "brute" if 3**d >= n else "grid"
+
+
+def max_sq_dist(states: np.ndarray) -> float:
+    """Largest pairwise squared distance of (n, d) states, scanned in row blocks."""
+    n = states.shape[0]
+    block = max(1, _BRUTE_BLOCK_ELEMS // max(1, n))
+    return max(
+        float(pairwise_sq_dists(states[a : a + block], states).max()) for a in range(0, n, block)
+    )
 
 
 class NeighborIndex:
@@ -53,55 +70,50 @@ class NeighborIndex:
         self.n, self.d = states.shape
         self.mode = resolve_mode(mode, self.n, self.d)
         self._fingerprint = hash(states.tobytes()) if __debug__ else None
-        self._cells = None
-        self._groups = None
         if self.mode == "grid":
             if 3**self.d > _MAX_STENCIL:
                 raise ValueError(f"grid stencil 3^{self.d} is unusably large; use brute")
             self._build_grid()
 
     def _build_grid(self) -> None:
-        cells = np.floor(self.states / self.epsilon).astype(np.int64)
+        self._stencil = np.array(list(itertools.product((-1, 0, 1), repeat=self.d)))
+        self._bucket(self.epsilon)
+        rho = self.n / max(1, len(self._spans))
+        if rho * rho * 6**self.d < _CELL_COST:
+            self._bucket(2.0 * self.epsilon)
+
+    def _bucket(self, side: float) -> None:
+        cells = np.floor(self.states / side).astype(np.int64)
         self._cells = cells
-        order = np.lexsort(cells.T[::-1])
-        sorted_cells = cells[order]
-        if self.n:
-            breaks = np.flatnonzero(np.any(np.diff(sorted_cells, axis=0) != 0, axis=1)) + 1
-            bounds = np.concatenate(([0], breaks, [self.n]))
-        else:
-            bounds = np.array([0, 0])
-        groups: dict[tuple, np.ndarray] = {}
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            if a == b:
-                continue
-            ids = np.sort(order[a:b])
-            groups[tuple(sorted_cells[a])] = ids
-        self._groups = groups
+        # lexsort is stable, so each cell's agents stay in ascending order
+        # and every occupied cell is one slice of the sorted agents.
+        self._order = np.lexsort(cells.T[::-1])
+        sorted_cells = cells[self._order]
+        first = np.ones(self.n, dtype=bool)
+        first[1:] = np.any(sorted_cells[1:] != sorted_cells[:-1], axis=1)
+        starts = np.flatnonzero(first)
+        self._occupied = sorted_cells[starts]
+        spans = zip(starts.tolist(), np.append(starts[1:], self.n).tolist())
+        self._spans = dict(zip(map(tuple, self._occupied.tolist()), spans))
 
     def _check_fresh(self) -> None:
         if __debug__ and hash(self.states.tobytes()) != self._fingerprint:
             raise RuntimeError("stale NeighborIndex: states changed since build")
 
-    def _candidates(self, cell: tuple) -> np.ndarray:
-        found = []
-        for off in itertools.product((-1, 0, 1), repeat=self.d):
-            ids = self._groups.get(tuple(c + o for c, o in zip(cell, off)))
-            if ids is not None:
-                found.append(ids)
-        if not found:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(found)
+    def _near(self, cell: np.ndarray) -> list:
+        """Sorted-order spans of the occupied cells around cell, in stencil order."""
+        keys = map(tuple, (self._stencil + cell).tolist())
+        return [span for span in map(self._spans.get, keys) if span is not None]
 
     def query(self, i: int) -> np.ndarray:
         """Ascending indices j with ||x_j - x_i|| <= epsilon (includes i)."""
         self._check_fresh()
         eps2 = self.epsilon * self.epsilon
+        row = self.states[i : i + 1]
         if self.mode == "brute":
-            d2 = sq_norm_last(self.states - self.states[i])
-            return np.flatnonzero(d2 <= eps2)
-        cand = self._candidates(tuple(self._cells[i]))
-        d2 = sq_norm_last(self.states[cand] - self.states[i])
-        return np.sort(cand[d2 <= eps2])
+            return np.flatnonzero(pairwise_sq_dists(row, self.states)[0] <= eps2)
+        cand = np.concatenate([self._order[a:b] for a, b in self._near(self._cells[i])])
+        return np.sort(cand[pairwise_sq_dists(row, self.states[cand])[0] <= eps2])
 
     def neighbor_sums(self, epsilon: float | None = None):
         """Per-agent neighbor row sums and neighbor counts.
@@ -113,37 +125,19 @@ class NeighborIndex:
         self._check_fresh()
         if epsilon is not None and epsilon != self.epsilon:
             raise ValueError("index was built for a different epsilon")
-        eps2 = self.epsilon * self.epsilon
+        x, eps = self.states, self.epsilon
         sums = np.empty((self.n, self.d), dtype=np.float64)
         deg = np.empty(self.n, dtype=np.float64)
         if self.mode == "brute":
             block = max(1, _BRUTE_BLOCK_ELEMS // max(1, self.n))
             for a in range(0, self.n, block):
                 b = min(self.n, a + block)
-                d2 = sq_norm_last(self.states[a:b, None, :] - self.states[None, :, :])
-                adj = (d2 <= eps2).astype(np.float64)
-                deg[a:b] = adj.sum(axis=1)
-                sums[a:b] = np.einsum("qj,jd->qd", adj, self.states)
+                neighbor_sums(pairwise_sq_dists(x[a:b], x), x, eps, out=sums[a:b], deg=deg[a:b])
             return sums, deg
-        for cell, ids in self._groups.items():
-            cand = self._candidates(cell)
-            d2 = sq_norm_last(self.states[ids][:, None, :] - self.states[cand][None, :, :])
-            adj = (d2 <= eps2).astype(np.float64)
-            deg[ids] = adj.sum(axis=1)
-            sums[ids] = np.einsum("qc,cd->qd", adj, self.states[cand])
-        return sums, deg
-
-    def candidate_stats(self) -> dict:
-        """Mean/max candidates per query, for the performance harness."""
-        self._check_fresh()
-        if self.mode != "grid":
-            return {"mode": self.mode, "mean_candidates": float(self.n), "max_candidates": self.n}
-        counts = np.empty(self.n, dtype=np.int64)
-        for cell, ids in self._groups.items():
-            counts[ids] = self._candidates(cell).size
-        return {
-            "mode": "grid",
-            "mean_candidates": float(counts.mean()),
-            "max_candidates": int(counts.max()),
-            "occupied_cells": len(self._groups),
-        }
+        # Rows are filled in cell order, then put back in agent order.
+        xs = x[self._order]
+        for cell, (a, b) in zip(self._occupied, self._spans.values()):
+            cand = np.concatenate([xs[lo:hi] for lo, hi in self._near(cell)])
+            neighbor_sums(pairwise_sq_dists(xs[a:b], cand), cand, eps, out=sums[a:b], deg=deg[a:b])
+        unsort = np.argsort(self._order)
+        return sums[unsort], deg[unsort]

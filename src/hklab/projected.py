@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import sq_norm_last
+from .model import neighbor_sums, pairwise_sq_dists, sq_norm_last
 from .noise import NoiseSpec, noise_block, uniforms_per_draw, validate_noise_spec
 from .prng import run_keys, uniforms_for_step
 from .walks import HittingSample
@@ -136,10 +136,6 @@ def project_to_ball(x: np.ndarray, r: float) -> np.ndarray:
     return out
 
 
-def _project_to_target(x: np.ndarray, r0: float) -> np.ndarray:
-    return project_to_ball(x, r0)
-
-
 def apply_map(spec: MapSpec, x: np.ndarray, r0: float) -> np.ndarray:
     """f(x) for a batch of ambient points, shape (..., dim)."""
     x = np.asarray(x, dtype=np.float64)
@@ -148,15 +144,12 @@ def apply_map(spec: MapSpec, x: np.ndarray, r0: float) -> np.ndarray:
     if spec.family == "linear_scale":
         return spec.alpha * x
     if spec.family == "target_stretch":
-        anchor = _project_to_target(x, r0)
+        anchor = project_to_ball(x, r0)
         return anchor + spec.alpha * (x - anchor)
     if spec.family == "hk_mean":
         lead = x.shape[:-1]
         pts = x.reshape(-1, spec.n, spec.d)
-        diffs = pts[:, :, None, :] - pts[:, None, :, :]
-        adj = (sq_norm_last(diffs) <= spec.epsilon * spec.epsilon).astype(np.float64)
-        deg = adj.sum(axis=2)
-        sums = np.einsum("aij,ajd->aid", adj, pts)
+        sums, deg = neighbor_sums(pairwise_sq_dists(pts), pts, spec.epsilon)
         means = sums / deg[:, :, None]
         return means.reshape(*lead, spec.n * spec.d)
     raise ValueError(f"unknown map family {spec.family!r}")
@@ -331,9 +324,9 @@ def sampled_audit(
     coeff = declared_coefficient(spec.map)
     key = run_keys(base_seed, np.asarray([0], dtype=np.int64))[0]
     x = _annulus_points(spec.dim, spec.r0, spec.r, points, key)
-    dist_x = np.sqrt(sq_norm_last(x - _project_to_target(x, spec.r0)))
+    dist_x = np.sqrt(sq_norm_last(x - project_to_ball(x, spec.r0)))
     fx = apply_map(spec.map, x, spec.r0)
-    dist_fx = np.sqrt(sq_norm_last(fx - _project_to_target(fx, spec.r0)))
+    dist_fx = np.sqrt(sq_norm_last(fx - project_to_ball(fx, spec.r0)))
     keep = dist_x > 0.0
     ratio = dist_fx[keep] / dist_x[keep]
     max_ratio = float(ratio.max()) if ratio.size else 0.0

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from hklab.cli import EXIT_OK, EXIT_PARSE, EXIT_RESOURCE, EXIT_VALIDATION, main
+import hklab.ensemble as ensemble
+from hklab.cli import EXIT_OK, EXIT_PARSE, EXIT_RESOURCE, EXIT_RUNTIME, EXIT_VALIDATION, main
 from hklab.config import (
     ConfigError,
     EnsembleSettings,
@@ -312,6 +313,27 @@ def test_cli_run_writes_outputs(tmp_path, capsys):
     assert summary["runs"] == 8
     assert summary["absorb_violations"] == 0
     assert not summary["incomplete"]
+
+
+def test_cli_run_with_failed_chunk_writes_incomplete_artifacts(tmp_path, monkeypatch, capsys):
+    real = ensemble.run_batch
+
+    def failing(cfg, base_seed, idxs, horizon, **kwargs):
+        if 0 in idxs:
+            raise RuntimeError("chunk failed")
+        return real(cfg, base_seed, idxs, horizon, **kwargs)
+
+    monkeypatch.setattr(ensemble, "run_batch", failing)
+    path = _write_cfg(tmp_path, _tiny_run_cfg())
+    out = tmp_path / "out"
+    assert main(["run", path, "--out", str(out), "--workers", "2"]) == EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert "INCOMPLETE" in captured.out
+    assert "runs 0-3 missing: chunk failed" in captured.err
+    _, rows = read_samples(out / "samples.csv")
+    assert [row["run_index"] for row in rows] == [4, 5, 6, 7]
+    summary = read_summary(out / "summary.json")
+    assert summary["incomplete"] and summary["runs"] == 4
 
 
 def test_cli_rerun_is_byte_identical(tmp_path):

@@ -5,6 +5,8 @@ are small dyadic rationals), so the lockstep batch path and the
 per-run indexed path must agree bit for bit over short horizons.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,8 +18,10 @@ from hklab.engine import (
     run_batch,
     run_trajectory,
 )
-from hklab.model import InitialCondition, ModelConfig
-from hklab.noise import NoiseSpec
+from hklab.model import InitialCondition, ModelConfig, hk_step
+from hklab.noise import NoiseSpec, noise_block
+from hklab.presets import preset
+from hklab.prng import run_keys
 
 
 def _dyadic_cfg(space_mode="unbounded"):
@@ -128,6 +132,48 @@ def test_indexed_path_matches_lockstep_bitwise(monkeypatch):
     indexed = run_batch(cfg, 9, np.arange(40), 15, extra_after_hit=5)
     assert [_sample_tuple(s) for s in indexed.samples] == [_sample_tuple(s) for s in lockstep.samples]
     np.testing.assert_array_equal(indexed.absorb_ok, lockstep.absorb_ok)
+
+
+def test_hk_step_replays_lockstep_snapshots_bitwise():
+    # Non-dyadic states in d = 3: the lockstep batch and hk_step share one
+    # distance expression and one neighbor-sum order, so replaying the
+    # run's own noise draws through hk_step reproduces every snapshot.
+    cfg = ModelConfig(
+        n=8,
+        d=3,
+        epsilon=0.8,
+        space_mode="bounded",
+        noise=NoiseSpec("uniform_ball", 0.4),
+        initial=InitialCondition("uniform_box", seed=4),
+    )
+    sample, rec = run_trajectory(cfg, horizon=1000, base_seed=17, run_index=1, snapshot_stride=1)
+    steps = sample.t_end
+    assert sample.hit and steps > 100
+    np.testing.assert_array_equal(rec.snapshot_times, np.arange(steps + 1))
+    xi = noise_block(cfg.noise, run_keys(17, [1]), np.arange(1, steps + 1), cfg.n, cfg.d)[0]
+    x = cfg.initial.build(cfg.n, cfg.d, cfg.epsilon)
+    np.testing.assert_array_equal(rec.snapshots[0], x)
+    for t in range(1, steps + 1):
+        x = hk_step(x, xi[t - 1], cfg.epsilon, cfg.space_mode)
+        np.testing.assert_array_equal(rec.snapshots[t], x)
+
+
+def test_translated_start_gives_same_stopping_times():
+    # T depends only on differences between agents, so shifting an
+    # unbounded start by c must leave every run's (hit, t_end) unchanged.
+    cfg = preset("thm2a_d1")
+    model = cfg.model
+    x0 = model.initial.build(model.n, model.d, model.epsilon)
+
+    def outcomes(c):
+        start = InitialCondition("explicit", values=tuple(map(tuple, x0 + c)))
+        res = run_batch(replace(model, initial=start), cfg.ensemble.base_seed, np.arange(200), 5000)
+        return [(s.hit, s.t_end) for s in res.samples]
+
+    ref = outcomes(0.0)
+    assert 0 < sum(hit for hit, _ in ref) < 200
+    for c in (1e3, 1e6, 1e8):
+        assert outcomes(c) == ref, f"shift {c:g}"
 
 
 def test_absorbing_audit_bounded_small_delta():

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+import hklab.ensemble as ensemble
 from hklab.engine import StoppingTimeSample
 from hklab.ensemble import (
     MIN_FIT_POINTS,
+    EnsembleError,
     SurvivalCurve,
     auto_tail_window,
     censored_mean,
@@ -179,6 +181,28 @@ def test_ensemble_summary_fields():
     assert s.survival.values[0] == 1.0
     assert not s.incomplete
     assert res.absorb_ok is None
+
+
+def test_failed_chunk_keeps_completed_runs(monkeypatch):
+    # The chunk holding run 7 raises: the other chunk's runs come back as
+    # an incomplete partial result and the message names the lost runs.
+    cfg = _tiny_cfg()
+    real = ensemble.run_batch
+
+    def failing(cfg, base_seed, idxs, horizon, **kwargs):
+        if 7 in idxs:
+            raise RuntimeError("chunk failed")
+        return real(cfg, base_seed, idxs, horizon, **kwargs)
+
+    monkeypatch.setattr(ensemble, "run_batch", failing)
+    with pytest.raises(EnsembleError, match="runs 6-11 missing: chunk failed") as info:
+        run_ensemble(cfg, 12, 300, base_seed=5, workers=2)
+    partial = info.value.partial
+    assert [s.run_index for s in partial.samples] == list(range(6))
+    assert partial.summary.incomplete and partial.summary.runs == 6
+    with pytest.raises(EnsembleError, match="runs 0-11 missing") as info:
+        run_ensemble(cfg, 12, 300, base_seed=5, workers=1)
+    assert info.value.partial is None
 
 
 def test_ensemble_rejects_zero_runs():

@@ -95,14 +95,30 @@ def test_step_stays_in_box_in_bounded_mode(x):
     assert np.all(out >= BOX_LO) and np.all(out <= BOX_HI)
 
 
-@given(finite_states)
-@settings(max_examples=50, deadline=None)
+@given(
+    arrays(
+        np.float64,
+        st.one_of(
+            st.tuples(st.integers(2, 6), st.integers(1, 5)),
+            st.tuples(st.integers(1, 3), st.integers(2, 6), st.integers(1, 5)),
+        ),
+        elements=st.floats(-1.0, 1.0, allow_nan=False),
+    )
+)
+@settings(max_examples=100, deadline=None)
 def test_pairwise_sq_dists_consistency(x):
+    # Every entry, batched or not, is bitwise the squared norm of the row
+    # difference, whose coordinates are added in order.
     d2 = pairwise_sq_dists(x)
-    assert np.all(np.abs(d2 - d2.T) == 0.0)
-    assert np.all(np.diag(d2) == 0.0)
-    i, j = 0, x.shape[0] - 1
-    assert d2[i, j] == sq_norm_last(x[i] - x[j])
+    assert np.all(d2 == np.swapaxes(d2, -1, -2))
+    assert np.all(np.diagonal(d2, axis1=-2, axis2=-1) == 0.0)
+    np.testing.assert_array_equal(d2, sq_norm_last(x[..., :, None, :] - x[..., None, :, :]))
+    np.testing.assert_array_equal(pairwise_sq_dists(x[..., :1, :], x), d2[..., :1, :])
+    rows = x.reshape(-1, *x.shape[-2:])[0]
+    in_order = 0.0
+    for c in rows[0] - rows[-1]:
+        in_order += c * c
+    assert d2.reshape(-1, *d2.shape[-2:])[0, 0, -1] == in_order
 
 
 @given(finite_states)

@@ -34,11 +34,17 @@ def test_grid_matches_brute_random(states, epsilon):
 
 def test_grid_matches_brute_on_exact_threshold_lattice():
     # Points at integer multiples of epsilon: many pairs sit exactly on
-    # the non-strict threshold and exactly on cell boundaries.
+    # the non-strict threshold and exactly on cell boundaries.  One point
+    # per site leaves side-epsilon cells sparse, so the grid doubles its
+    # cell side; 20 copies per site keep side-epsilon cells.
     eps = 0.25
     g = np.arange(-3, 4, dtype=np.float64) * eps
     states = np.array(np.meshgrid(g, g)).reshape(2, -1).T
-    _assert_same_membership(states, eps)
+    for copies, side in ((1, 2 * eps), (20, eps)):
+        pts = np.repeat(states, copies, axis=0)
+        _assert_same_membership(pts, eps)
+        grid = NeighborIndex(pts, eps, mode="grid")
+        np.testing.assert_array_equal(grid._cells, np.floor(pts / side))
 
 
 def test_grid_matches_brute_negative_coordinates():
@@ -113,13 +119,3 @@ def test_constructor_validation():
         NeighborIndex(np.zeros(3), 0.5)
     with pytest.raises(ValueError, match="stencil"):
         NeighborIndex(np.zeros((3, 40)), 0.5, mode="grid")
-
-
-def test_candidate_stats_modes():
-    rng = np.random.default_rng(3)
-    states = rng.uniform(-1, 1, size=(100, 2))
-    grid = NeighborIndex(states, 0.1, mode="grid").candidate_stats()
-    assert grid["mode"] == "grid"
-    assert grid["max_candidates"] < 100
-    brute = NeighborIndex(states, 0.1, mode="brute").candidate_stats()
-    assert brute["max_candidates"] == 100
