@@ -1,8 +1,8 @@
 """Fixed-radius neighbor queries: brute-force scan and uniform grid.
 
-The grid buckets agents into cells of side s >= epsilon (integer cell =
-floor(coordinate / s)), so any neighbor of an agent lies in the 3^d
-surrounding cells.  Both modes take distances from the one
+The grid buckets agents into cells of side exactly epsilon (integer
+cell = floor(coordinate / epsilon)), so any neighbor of an agent lies
+in the 3^d surrounding cells.  Both modes take distances from the one
 expression model.pairwise_sq_dists and sums from model.neighbor_sums:
 brute over row blocks against all agents, grid over each cell's agents
 against its candidates.  The two modes therefore return bit-equal
@@ -24,12 +24,6 @@ _BRUTE_BLOCK_ELEMS = 4_000_000
 
 # Refuse explicit grid mode when the stencil itself is astronomically big.
 _MAX_STENCIL = 1 << 20
-
-# Fixed cost of one grid cell's neighbor_sums pass in candidate-pair units
-# (~30 us per cell against ~5 ns per pair on a 2-vCPU x86 host).  Doubling
-# the cell side multiplies agents per cell by 2^d and candidate pairs by 4^d;
-# with rho agents per occupied side-epsilon cell it pays when rho^2 * 6^d < this.
-_CELL_COST = 6000
 
 
 def resolve_mode(mode: str, n: int, d: int) -> str:
@@ -77,13 +71,7 @@ class NeighborIndex:
 
     def _build_grid(self) -> None:
         self._stencil = np.array(list(itertools.product((-1, 0, 1), repeat=self.d)))
-        self._bucket(self.epsilon)
-        rho = self.n / max(1, len(self._spans))
-        if rho * rho * 6**self.d < _CELL_COST:
-            self._bucket(2.0 * self.epsilon)
-
-    def _bucket(self, side: float) -> None:
-        cells = np.floor(self.states / side).astype(np.int64)
+        cells = np.floor(self.states / self.epsilon).astype(np.int64)
         self._cells = cells
         # lexsort is stable, so each cell's agents stay in ascending order
         # and every occupied cell is one slice of the sorted agents.

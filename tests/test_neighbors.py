@@ -34,17 +34,11 @@ def test_grid_matches_brute_random(states, epsilon):
 
 def test_grid_matches_brute_on_exact_threshold_lattice():
     # Points at integer multiples of epsilon: many pairs sit exactly on
-    # the non-strict threshold and exactly on cell boundaries.  One point
-    # per site leaves side-epsilon cells sparse, so the grid doubles its
-    # cell side; 20 copies per site keep side-epsilon cells.
+    # the non-strict threshold and exactly on cell boundaries.
     eps = 0.25
     g = np.arange(-3, 4, dtype=np.float64) * eps
     states = np.array(np.meshgrid(g, g)).reshape(2, -1).T
-    for copies, side in ((1, 2 * eps), (20, eps)):
-        pts = np.repeat(states, copies, axis=0)
-        _assert_same_membership(pts, eps)
-        grid = NeighborIndex(pts, eps, mode="grid")
-        np.testing.assert_array_equal(grid._cells, np.floor(pts / side))
+    _assert_same_membership(states, eps)
 
 
 def test_grid_matches_brute_negative_coordinates():
