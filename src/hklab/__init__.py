@@ -20,7 +20,6 @@ from .config import (
 )
 from .engine import (
     BatchResult,
-    StoppingTimeSample,
     TrajectoryRecord,
     check_absorbing,
     cluster_gap,

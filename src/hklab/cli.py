@@ -117,20 +117,14 @@ def _run_hitting(cfg: ExperimentConfig, workers: int, out: Path) -> int:
             print(f"runtime error: {err}", file=sys.stderr)
             samples, summary = err.partial.samples, err.partial.summary
             incomplete = True
-    elif cfg.scenario == "projected":
-        samples = hitting_time_td(
-            cfg.projected, ens.base_seed, np.arange(ens.runs), horizon
-        )
-        summary = summarize(samples, horizon, ens.base_seed)
-    elif cfg.walk_kind == "first_passage":
-        samples = first_passage_below(
-            cfg.walk, cfg.threshold, ens.base_seed, np.arange(ens.runs), horizon
-        )
-        summary = summarize(samples, horizon, ens.base_seed)
     else:
-        samples = stretched_first_passage(
-            cfg.walk, ens.base_seed, np.arange(ens.runs), horizon
-        )
+        runs = np.arange(ens.runs)
+        if cfg.scenario == "projected":
+            samples = hitting_time_td(cfg.projected, ens.base_seed, runs, horizon)
+        elif cfg.walk_kind == "first_passage":
+            samples = first_passage_below(cfg.walk, cfg.threshold, ens.base_seed, runs, horizon)
+        else:
+            samples = stretched_first_passage(cfg.walk, ens.base_seed, runs, horizon)
         summary = summarize(samples, horizon, ens.base_seed)
 
     fingerprint = config_fingerprint(cfg)

@@ -2,9 +2,10 @@
 
 A run is quasi-synchronized at the first t >= 0 with d_V(t) <= epsilon
 (largest pairwise distance at most the confidence radius).  The engine
-reports min(T, horizon) per run with an explicit censoring flag, and
-can optionally keep stepping past the hit to audit that the condition
-is absorbing when delta <= epsilon / 2.
+reports each run as a walks.HittingSample: t_hit = min(T, horizon), an
+explicit censoring flag, and d_V at that step as end_value.  It can
+optionally keep stepping past the hit to audit that the condition is
+absorbing when delta <= epsilon / 2.
 
 Ensembles are advanced in lockstep: one (A, n, d) tensor holds all
 still-active runs and retired runs are compacted away.  Because every
@@ -31,6 +32,7 @@ from .model import (
 from .neighbors import NeighborIndex, max_sq_dist, resolve_mode
 from .noise import noise_block, uniforms_per_draw
 from .prng import run_keys
+from .walks import HittingSample, _samples
 
 # Abort threshold for runaway unbounded states.
 MAGNITUDE_GUARD = 1e12
@@ -73,22 +75,6 @@ class _StepBuffers:
         return self.d2.reshape(self.d2.shape[0], -1).max(axis=1)
 
 
-@dataclass(frozen=True)
-class StoppingTimeSample:
-    """Outcome of one run: min(T, horizon) plus censoring status."""
-
-    run_index: int
-    hit: bool
-    t_hit: int | None
-    horizon: int
-    d_v_at_end: float
-    base_seed: int
-
-    @property
-    def t_end(self) -> int:
-        return self.t_hit if self.hit else self.horizon
-
-
 @dataclass
 class TrajectoryRecord:
     """Opt-in strided diagnostics for a single run."""
@@ -103,7 +89,7 @@ class TrajectoryRecord:
 
 @dataclass
 class BatchResult:
-    samples: list[StoppingTimeSample]
+    samples: list[HittingSample]
     absorb_ok: np.ndarray | None = None
     record: TrajectoryRecord | None = None
 
@@ -191,17 +177,16 @@ def run_batch(
     x0 = cfg.initial.build(n, d, cfg.epsilon)
     use_lockstep = n <= _LOCKSTEP_MAX_N
     if not use_lockstep:
-        samples = []
-        absorb = np.ones(a0, dtype=bool) if extra_after_hit else None
-        for k, ridx in enumerate(run_indices):
-            res, ok = _run_single_large(
-                cfg, base_seed, int(ridx), horizon, extra_after_hit, recorder, guard
-            )
-            samples.append(res)
-            if absorb is not None:
-                absorb[k] = ok
-        rec = recorder.build() if recorder else None
-        return BatchResult(samples=samples, absorb_ok=absorb, record=rec)
+        outcomes = [
+            _run_single_large(cfg, base_seed, int(r), horizon, extra_after_hit, recorder, guard)
+            for r in run_indices
+        ]
+        hit, t_hit, d_v, absorb = (np.array(col) for col in zip(*outcomes))
+        return BatchResult(
+            samples=_samples(run_indices, hit, t_hit, d_v, horizon, base_seed),
+            absorb_ok=absorb if extra_after_hit else None,
+            record=recorder.build() if recorder else None,
+        )
 
     if a0 > _RUN_SLICE:
         samples = []
@@ -225,7 +210,7 @@ def run_batch(
     states = np.tile(x0, (a0, 1, 1))
 
     hit_all = np.zeros(a0, dtype=bool)
-    t_hit_all = np.full(a0, -1, dtype=np.int64)
+    t_hit_all = np.full(a0, horizon, dtype=np.int64)
     dve_all = np.full(a0, np.nan)
     absorb_all = np.ones(a0, dtype=bool)
 
@@ -300,19 +285,8 @@ def run_batch(
                 f"(run_index={int(run_indices[worst])}); aborting"
             )
 
-    samples = [
-        StoppingTimeSample(
-            run_index=int(run_indices[i]),
-            hit=bool(hit_all[i]),
-            t_hit=int(t_hit_all[i]) if hit_all[i] else None,
-            horizon=horizon,
-            d_v_at_end=float(dve_all[i]),
-            base_seed=base_seed,
-        )
-        for i in range(a0)
-    ]
     return BatchResult(
-        samples=samples,
+        samples=_samples(run_indices, hit_all, t_hit_all, dve_all, horizon, base_seed),
         absorb_ok=absorb_all if extra_after_hit else None,
         record=recorder.build() if recorder else None,
     )
@@ -338,14 +312,17 @@ def _dv2_large(states: np.ndarray, eps2: float):
 
 
 def _run_single_large(cfg, base_seed, run_index, horizon, extra_after_hit, recorder, guard):
-    """Per-step grid-indexed path for systems too large to batch."""
+    """Per-step grid-indexed path for systems too large to batch.
+
+    Returns (hit, t_hit, d_V at t_hit, absorb_ok) of the one run.
+    """
     n, d = cfg.n, cfg.d
     eps2 = cfg.epsilon * cfg.epsilon
     mode = resolve_mode("auto", n, d)
     states = cfg.initial.build(n, d, cfg.epsilon)
     key = run_keys(base_seed, [run_index])
 
-    hit, t_hit, dve = False, None, np.nan
+    hit, t_hit, dve = False, horizon, np.nan
     synced, d2m = _dv2_large(states, eps2)
     if synced:
         hit, t_hit, dve = True, 0, float(np.sqrt(d2m))
@@ -376,15 +353,7 @@ def _run_single_large(cfg, base_seed, run_index, horizon, extra_after_hit, recor
             dve = float(np.sqrt(d2m))
         if recorder:
             recorder.observe(t, states, d2m if d2m is not None else np.nan, final=t == deadline)
-    sample = StoppingTimeSample(
-        run_index=run_index,
-        hit=hit,
-        t_hit=t_hit,
-        horizon=horizon,
-        d_v_at_end=float(dve),
-        base_seed=base_seed,
-    )
-    return sample, absorb_ok
+    return hit, t_hit, dve, absorb_ok
 
 
 def run_trajectory(
@@ -396,7 +365,7 @@ def run_trajectory(
     record_stride: int = 0,
     snapshot_stride: int = 0,
 ):
-    """One run; returns (StoppingTimeSample, TrajectoryRecord or None)."""
+    """One run; returns (HittingSample, TrajectoryRecord or None)."""
     res = run_batch(
         cfg,
         base_seed,

@@ -78,18 +78,13 @@ def events_from_samples(samples, horizon: int | None = None):
     full = samples[0].horizon
     if horizon is None:
         horizon = full
+    if horizon < 0:
+        raise ValueError(f"horizon {horizon} is negative")
     if horizon > full:
         raise ValueError(f"horizon {horizon} exceeds sampled horizon {full}")
-    t_end = np.empty(len(samples), dtype=np.int64)
-    hit = np.empty(len(samples), dtype=bool)
-    for k, s in enumerate(samples):
-        if s.hit and s.t_hit <= horizon:
-            t_end[k] = s.t_hit
-            hit[k] = True
-        else:
-            t_end[k] = horizon
-            hit[k] = False
-    return t_end, hit
+    events = np.array([(s.t_hit, s.hit) for s in samples], dtype=np.int64)
+    hit = (events[:, 1] == 1) & (events[:, 0] <= horizon)
+    return np.where(hit, events[:, 0], horizon), hit
 
 
 def survival_from_events(t_end, hit, horizon: int, grid=None) -> SurvivalCurve:
@@ -114,8 +109,10 @@ def survival_from_events(t_end, hit, horizon: int, grid=None) -> SurvivalCurve:
 
 
 def survival_from_samples(samples, horizon: int | None = None, grid=None) -> SurvivalCurve:
+    if horizon is None:
+        horizon = samples[0].horizon
     t_end, hit = events_from_samples(samples, horizon)
-    return survival_from_events(t_end, hit, horizon or samples[0].horizon, grid)
+    return survival_from_events(t_end, hit, horizon, grid)
 
 
 def censored_mean(t_end) -> float:

@@ -5,8 +5,10 @@ artifacts from different configs cannot be mixed silently.  Floats are
 written with repr, the shortest digit string that parses back to the
 identical double; line endings are LF regardless of platform.
 
-samples.csv   one row per run: run_index, hit, t_hit_or_horizon,
-              censored, d_v_end
+samples.csv   one row per walks.HittingSample: run_index, hit,
+              t_hit_or_horizon, censored, d_v_end; d_v_end is the
+              sample's end_value, d_V for hk runs and the oracle's end
+              statistic for walk and projected runs
 survival.csv  the censoring-aware survival curve on its time grid:
               t, survival, n_at_risk
 summary.json  ensemble summary plus fingerprint and tool version
@@ -36,14 +38,6 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _end_distance(sample) -> float:
-    # HK samples report the final d_V, walk/projected samples the final
-    # distance-like statistic; both land in the d_v_end column.
-    if hasattr(sample, "d_v_at_end"):
-        return sample.d_v_at_end
-    return sample.end_value
-
-
 def write_samples(path, samples, fingerprint: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"{FINGERPRINT_PREFIX}{fingerprint}\n")
@@ -56,7 +50,7 @@ def write_samples(path, samples, fingerprint: str) -> None:
                     _fmt(s.hit),
                     _fmt(s.t_end),
                     _fmt(not s.hit),
-                    _fmt(_end_distance(s)),
+                    _fmt(s.end_value),
                 ]
             )
 

@@ -33,11 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import neighbor_sums, pairwise_sq_dists, sq_norm_last
-from .noise import NoiseSpec, noise_block, uniforms_per_draw, validate_noise_spec
+from .noise import NoiseSpec, uniforms_per_draw, validate_noise_spec
 from .prng import run_keys, uniforms_for_step
-from .walks import HittingSample
-
-_CHUNK_ELEMS = 2_000_000
+from .walks import HittingSample, _censored_hitting, _chunk_steps, _step_each, _steps_block
 
 MAP_FAMILIES = ("identity", "linear_scale", "target_stretch", "hk_mean")
 
@@ -197,53 +195,22 @@ def hitting_time_td(
     bad = validate_projected_spec(spec)
     if bad:
         raise ValueError("; ".join(bad))
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    run_indices = np.asarray(run_indices, dtype=np.int64)
-    runs = run_indices.shape[0]
-    keys = run_keys(base_seed, run_indices)
-    w = uniforms_per_draw(spec.noise.family, spec.dim)
     r0sq = spec.r0 * spec.r0
 
-    t_hit = np.full(runs, -1, dtype=np.int64)
-    end_val = np.zeros(runs, dtype=np.float64)
-    alive = np.arange(runs, dtype=np.int64)
-    s = np.broadcast_to(spec.start_point(), (runs, spec.dim)).copy()
-    t0 = 0
-    while alive.size and t0 < horizon:
-        per_step = max(1, alive.size) * w
-        nsteps = max(1, min(horizon - t0, _CHUNK_ELEMS // per_step or 1))
-        ts = np.arange(t0 + 1, t0 + nsteps + 1, dtype=np.uint64)
-        xi = noise_block(spec.noise, keys[alive], ts, 1, spec.dim)[:, :, 0, :]
-        running = np.ones(alive.size, dtype=bool)
-        for k in range(nsteps):
-            s_new = projected_step(s, spec, xi[:, k, :])
-            s = np.where(running[:, None], s_new, s)
-            inside = sq_norm_last(s) <= r0sq
-            newly = running & inside
-            if newly.any():
-                rows = np.flatnonzero(newly)
-                t_hit[alive[rows]] = t0 + k + 1
-                end_val[alive[rows]] = np.sqrt(sq_norm_last(s[rows]))
-                running[rows] = False
-                if not running.any():
-                    break
-        alive = alive[running]
-        s = s[running]
-        t0 += nsteps
-    if alive.size:
-        end_val[alive] = np.sqrt(sq_norm_last(s))
-    return [
-        HittingSample(
-            run_index=int(run_indices[k]),
-            hit=bool(t_hit[k] >= 0),
-            t_hit=int(t_hit[k]) if t_hit[k] >= 0 else horizon,
-            horizon=horizon,
-            end_value=float(end_val[k]),
-            base_seed=base_seed,
-        )
-        for k in range(runs)
-    ]
+    def norm(s):
+        return np.sqrt(sq_norm_last(s))
+
+    def step(s, xi, t):
+        return projected_step(s, spec, xi[:, 0, :])
+
+    def advance(s, xi, t0):
+        stop, s = _step_each(s, xi, t0, step, lambda s: sq_norm_last(s) <= r0sq)
+        # A stopped run keeps its state at the stop.
+        return stop, stop >= 0, norm(s), s
+
+    return _censored_hitting(
+        spec.noise, 1, spec.dim, spec.start_point(), advance, norm, base_seed, run_indices, horizon
+    )
 
 
 def trajectory(
@@ -263,9 +230,8 @@ def trajectory(
     w = uniforms_per_draw(spec.noise.family, spec.dim)
     t0 = 0
     while t0 < horizon:
-        nsteps = max(1, min(horizon - t0, _CHUNK_ELEMS // w))
-        ts = np.arange(t0 + 1, t0 + nsteps + 1, dtype=np.uint64)
-        xi = noise_block(spec.noise, keys, ts, 1, spec.dim)[:, :, 0, :]
+        nsteps = _chunk_steps(1, 1, w, horizon - t0)
+        xi = _steps_block(spec.noise, keys, t0, nsteps, 1, spec.dim)[:, :, 0, :]
         for k in range(nsteps):
             s = projected_step(s, spec, xi[0, k][None, :])
             out[t0 + k + 1] = s[0]

@@ -17,6 +17,12 @@ engine, so a cluster-gap walk with matching sizes, dimension, noise
 family, and (base_seed, run_index) consumes bit-identical noise to the
 corresponding two-cluster simulation run.  That is what makes coupled
 sample-by-sample comparisons meaningful.
+
+Every censored hitting time in hklab is reported as a HittingSample,
+the HK runs of the engine included.  The oracles here and the
+projected recursion's T_D share one chunked loop, _censored_hitting:
+each supplies only its per-chunk step math, and the loop owns the
+keys, the chunking, the compaction of stopped runs and the bookkeeping.
 """
 
 from __future__ import annotations
@@ -39,9 +45,11 @@ SIMPLE_STEP = NoiseSpec(family="rademacher_axes", delta=1.0)
 class HittingSample:
     """One run of a hitting-time experiment, censored at the horizon.
 
-    end_value is the triggering statistic at the hitting step, or its
-    value at the horizon for censored runs (inf when a stretched walk
-    escaped past its point of no return).
+    A censored run has hit False and t_hit = horizon.  end_value is the
+    triggering statistic at the hitting step, or its value at the
+    horizon for censored runs: d_V for HK runs, the oracle's statistic
+    otherwise (inf when a stretched walk escaped past its point of no
+    return).
     """
 
     run_index: int
@@ -54,6 +62,23 @@ class HittingSample:
     @property
     def t_end(self) -> int:
         return self.t_hit if self.hit else self.horizon
+
+    @property
+    def d_v_at_end(self) -> float:
+        """end_value under its former HK name.
+
+        Exists only because hkbench/workloads.py reads this name on HK
+        samples; read end_value instead.
+        """
+        return self.end_value
+
+
+def _samples(run_indices, hit, t_hit, end_value, horizon: int, base_seed: int):
+    """One HittingSample per run from per-run arrays of equal length."""
+    return [
+        HittingSample(int(r), bool(h), int(t), horizon, float(v), base_seed)
+        for r, h, t, v in zip(run_indices, hit, t_hit, end_value)
+    ]
 
 
 @dataclass(frozen=True)
@@ -130,6 +155,75 @@ def _steps_block(step: NoiseSpec, keys, t0: int, nsteps: int, n: int, d: int):
     return noise_block(step, keys, ts, n, d)
 
 
+def _first_hit(hits: np.ndarray, stat: np.ndarray):
+    """(stop, hit, stat at stop) per row of an (A, B) hit mask; stop is -1 without a hit."""
+    got = hits.any(axis=1)
+    first = np.argmax(hits, axis=1)
+    return np.where(got, first, -1), got, stat[np.arange(first.size), first]
+
+
+def _step_each(state, xi, t0, step, stops):
+    """Stop step and end state of a recursion advanced one step at a time.
+
+    step(state, xi[:, k], t) gives the states at step t = t0 + k + 1,
+    and stops(state) flags the rows that stop there.  A stopped row
+    keeps its state at the stop; the stop is -1 for rows still going.
+    """
+    stop = np.full(state.shape[0], -1)
+    running = np.ones(state.shape[0], dtype=bool)
+    for k in range(xi.shape[1]):
+        new = step(state, xi[:, k], t0 + k + 1)
+        state = np.where(running.reshape((-1,) + (1,) * (state.ndim - 1)), new, state)
+        done = running & stops(state)
+        if done.any():
+            stop[done] = k
+            running &= ~done
+            if not running.any():
+                break
+    return stop, state
+
+
+def _censored_hitting(noise, n, dim, start, advance, end_stat, base_seed, run_indices, horizon):
+    """Hitting samples of runs that all start from the state start.
+
+    Runs advance in chunks of steps.  advance(state, xi, t0) receives
+    the states of the runs still going and their noise xi, shape
+    (A, B, n, dim), for steps t0+1..t0+B.  Per row it returns the
+    chunk index of the step the run stopped at (-1 if it did not), a
+    hit flag, the statistic at the stop, and the state at the chunk
+    end.  A run that stopped without a hit escaped: it is censored with
+    end_value inf.  Runs still going at the horizon end with
+    end_stat(state).
+    """
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    run_indices = np.asarray(run_indices, dtype=np.int64)
+    runs = run_indices.shape[0]
+    keys = run_keys(base_seed, run_indices)
+    w = uniforms_per_draw(noise.family, dim)
+
+    hit = np.zeros(runs, dtype=bool)
+    t_hit = np.full(runs, horizon, dtype=np.int64)
+    end_value = np.zeros(runs, dtype=np.float64)
+    alive = np.arange(runs, dtype=np.int64)
+    state = np.broadcast_to(start, (runs,) + np.shape(start)).copy()
+    t0 = 0
+    while alive.size and t0 < horizon:
+        nsteps = _chunk_steps(alive.size, n, w, horizon - t0)
+        xi = _steps_block(noise, keys[alive], t0, nsteps, n, dim)
+        stop, got, value, state = advance(state, xi, t0)
+        stopped = stop >= 0
+        hit[alive[got]] = True
+        t_hit[alive[got]] = t0 + stop[got] + 1
+        end_value[alive[stopped]] = np.where(got, value, np.inf)[stopped]
+        alive = alive[~stopped]
+        state = state[~stopped]
+        t0 += nsteps
+    if alive.size:
+        end_value[alive] = end_stat(state)
+    return _samples(run_indices, hit, t_hit, end_value, horizon, base_seed)
+
+
 # ---------------------------------------------------------------------------
 # First passage below a level (scalar walk)
 # ---------------------------------------------------------------------------
@@ -153,45 +247,15 @@ def first_passage_below(
         raise ValueError("first_passage_below is defined for dim 1")
     if b > 0.0:
         raise ValueError("level b must be <= 0")
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    run_indices = np.asarray(run_indices, dtype=np.int64)
-    runs = run_indices.shape[0]
-    keys = run_keys(base_seed, run_indices)
-    w = uniforms_per_draw(spec.step.family, 1)
 
-    t_hit = np.full(runs, -1, dtype=np.int64)
-    end_val = np.zeros(runs, dtype=np.float64)
-    alive = np.arange(runs, dtype=np.int64)
-    u = np.full(runs, float(spec.start_point()[0]))[alive]
-    t0 = 0
-    while alive.size and t0 < horizon:
-        nsteps = _chunk_steps(alive.size, 1, w, horizon - t0)
-        steps = _steps_block(spec.step, keys[alive], t0, nsteps, 1, 1)[:, :, 0, 0]
-        path = u[:, None] + np.cumsum(steps, axis=1)
-        hits = path <= b
-        got = hits.any(axis=1)
-        first = np.argmax(hits, axis=1)
-        hit_rows = np.flatnonzero(got)
-        hit_ids = alive[hit_rows]
-        t_hit[hit_ids] = t0 + first[hit_rows] + 1
-        end_val[hit_ids] = path[hit_rows, first[hit_rows]]
-        keep = ~got
-        alive = alive[keep]
-        u = path[keep, -1]
-        t0 += nsteps
-    end_val[alive] = u
-    return [
-        HittingSample(
-            run_index=int(run_indices[k]),
-            hit=bool(t_hit[k] >= 0),
-            t_hit=int(t_hit[k]) if t_hit[k] >= 0 else horizon,
-            horizon=horizon,
-            end_value=float(end_val[k]),
-            base_seed=base_seed,
-        )
-        for k in range(runs)
-    ]
+    def advance(u, xi, t0):
+        path = u[:, None] + np.cumsum(xi[:, :, 0, 0], axis=1)
+        return (*_first_hit(path <= b, path), path[:, -1])
+
+    start = float(spec.start_point()[0])
+    return _censored_hitting(
+        spec.step, 1, 1, start, advance, lambda u: u, base_seed, run_indices, horizon
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -214,62 +278,25 @@ def stretched_first_passage(
     float to the horizon.
     """
     _require_valid(spec)
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    run_indices = np.asarray(run_indices, dtype=np.int64)
-    runs = run_indices.shape[0]
-    keys = run_keys(base_seed, run_indices)
-    w = uniforms_per_draw(spec.step.family, 1)
     beta = float(spec.beta)
     m = float(spec.bound_m)
 
-    t_hit = np.full(runs, -1, dtype=np.int64)
-    end_val = np.zeros(runs, dtype=np.float64)
-    escaped = np.zeros(runs, dtype=bool)
-    alive = np.arange(runs, dtype=np.int64)
-    s = np.zeros(runs, dtype=np.float64)[alive]
-    t0 = 0
-    while alive.size and t0 < horizon:
-        nsteps = _chunk_steps(alive.size, 1, w, horizon - t0)
-        xi = _steps_block(spec.step, keys[alive], t0, nsteps, 1, 1)[:, :, 0, 0]
-        running = np.ones(alive.size, dtype=bool)
-        for k in range(nsteps):
-            t = t0 + k + 1
-            if t == 1:
-                s_new = xi[:, k]
-            else:
-                s_new = beta * s + np.clip(xi[:, k], -m, m)
-            s = np.where(running, s_new, s)
-            newly = running & (s <= 0.0)
-            if newly.any():
-                rows = np.flatnonzero(newly)
-                t_hit[alive[rows]] = t
-                end_val[alive[rows]] = s[rows]
-                running[rows] = False
-            if beta > 1.0:
-                gone = running & (s * (beta - 1.0) > m)
-                if gone.any():
-                    rows = np.flatnonzero(gone)
-                    escaped[alive[rows]] = True
-                    end_val[alive[rows]] = np.inf
-                    running[rows] = False
-            if not running.any():
-                break
-        alive = alive[running]
-        s = s[running]
-        t0 += nsteps
-    end_val[alive] = s
-    return [
-        HittingSample(
-            run_index=int(run_indices[k]),
-            hit=bool(t_hit[k] >= 0),
-            t_hit=int(t_hit[k]) if t_hit[k] >= 0 else horizon,
-            horizon=horizon,
-            end_value=float(end_val[k]),
-            base_seed=base_seed,
-        )
-        for k in range(runs)
-    ]
+    def step(s, xi, t):
+        return xi[:, 0, 0] if t == 1 else beta * s + np.clip(xi[:, 0, 0], -m, m)
+
+    def stops(s):
+        # A hit, or an escape: once S*(beta - 1) > M (possible only for
+        # beta > 1), S never comes back below zero.
+        return (s <= 0.0) | (s * (beta - 1.0) > m)
+
+    def advance(s, xi, t0):
+        stop, s = _step_each(s, xi, t0, step, stops)
+        # A stopped run sits at its stop: a hit at or below 0, an escape above.
+        return stop, (stop >= 0) & (s <= 0.0), s, s
+
+    return _censored_hitting(
+        spec.step, 1, 1, 0.0, advance, lambda s: s, base_seed, run_indices, horizon
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -375,65 +402,40 @@ def cluster_gap_walk(
     ||gap0 + Z(t)|| <= radius, the transience diagnostic for d >= 3.
     """
     _require_valid(spec)
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
     gap0 = np.atleast_1d(np.asarray(gap0, dtype=np.float64))
     if gap0.shape != (spec.dim,):
         raise ValueError(f"gap0 must have {spec.dim} coordinates")
     if radius is None and spec.dim != 1:
         raise ValueError("the Q_min variant is scalar; pass radius for dim >= 2")
-    run_indices = np.asarray(run_indices, dtype=np.int64)
-    runs = run_indices.shape[0]
-    keys = run_keys(base_seed, run_indices)
-    n = spec.n1 + spec.n2
-    w = uniforms_per_draw(spec.noise.family, spec.dim)
+    n1 = spec.n1
     r2 = None if radius is None else float(radius) * float(radius)
 
-    t_hit = np.full(runs, -1, dtype=np.int64)
-    end_val = np.zeros(runs, dtype=np.float64)
-    alive = np.arange(runs, dtype=np.int64)
-    z = np.zeros((runs, spec.dim), dtype=np.float64)[alive]
-    t0 = 0
-    while alive.size and t0 < horizon:
-        nsteps = _chunk_steps(alive.size, n, w, horizon - t0)
-        xi = _steps_block(spec.noise, keys[alive], t0, nsteps, n, spec.dim)
-        y = _cluster_y(xi, spec.n1)  # (A, B, dim)
-        zpath = z[:, None, :] + np.cumsum(y, axis=1)
+    def advance(z, xi, t0):
+        zpath = z[:, None, :] + np.cumsum(_cluster_y(xi, n1), axis=1)
         if radius is None:
             zprev = np.concatenate([z[:, None, :], zpath[:, :-1, :]], axis=1)
-            stat = (
+            qmin = (
                 gap0[0]
                 + zprev[:, :, 0]
-                + xi[:, :, : spec.n1, 0].min(axis=2)
-                - xi[:, :, spec.n1 :, 0].max(axis=2)
+                + xi[:, :, :n1, 0].min(axis=2)
+                - xi[:, :, n1:, 0].max(axis=2)
             )
-            hits = stat <= threshold
-        else:
-            stat = np.sqrt(sq_norm_last(gap0 + zpath))
-            hits = sq_norm_last(gap0 + zpath) <= r2
-        got = hits.any(axis=1)
-        first = np.argmax(hits, axis=1)
-        hit_rows = np.flatnonzero(got)
-        hit_ids = alive[hit_rows]
-        t_hit[hit_ids] = t0 + first[hit_rows] + 1
-        end_val[hit_ids] = stat[hit_rows, first[hit_rows]]
-        keep = ~got
-        alive = alive[keep]
-        z = zpath[keep, -1, :]
-        t0 += nsteps
-    if alive.size:
-        end_val[alive] = np.sqrt(sq_norm_last(gap0 + z))
-    return [
-        HittingSample(
-            run_index=int(run_indices[k]),
-            hit=bool(t_hit[k] >= 0),
-            t_hit=int(t_hit[k]) if t_hit[k] >= 0 else horizon,
-            horizon=horizon,
-            end_value=float(end_val[k]),
-            base_seed=base_seed,
-        )
-        for k in range(runs)
-    ]
+            return (*_first_hit(qmin <= threshold, qmin), zpath[:, -1, :])
+        d2 = sq_norm_last(gap0 + zpath)
+        stop, got, d2_stop = _first_hit(d2 <= r2, d2)
+        return stop, got, np.sqrt(d2_stop), zpath[:, -1, :]
+
+    return _censored_hitting(
+        spec.noise,
+        spec.n1 + spec.n2,
+        spec.dim,
+        np.zeros(spec.dim),
+        advance,
+        lambda z: np.sqrt(sq_norm_last(gap0 + z)),
+        base_seed,
+        run_indices,
+        horizon,
+    )
 
 
 def cluster_gap_path(

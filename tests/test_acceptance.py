@@ -357,7 +357,7 @@ def test_ac8_engineering(capsys):
                          workers=8, extra_after_hit=50)
 
     def key(s):
-        return (s.run_index, s.hit, s.t_hit, s.horizon, s.d_v_at_end, s.base_seed)
+        return (s.run_index, s.hit, s.t_hit, s.horizon, s.end_value, s.base_seed)
 
     checks["bit-identical across workers 1 and 8"] = all(
         key(a) == key(b) for a, b in zip(one.samples, eight.samples)

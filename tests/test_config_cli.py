@@ -30,6 +30,7 @@ from hklab.output import (
     write_samples,
 )
 from hklab.presets import PRESET_NAMES, preset, preset_variants, scaled_preset
+from hklab.walks import WalkSpec, first_passage_below
 
 MINIMAL_HK = {
     "scenario": "hk",
@@ -225,18 +226,20 @@ def test_preset_two_cluster_pins():
 
 def test_sample_file_roundtrip_exact(tmp_path):
     cfg = _tiny_run_cfg()
-    res = run_batch(cfg.model, 5, np.arange(6), 2000)
+    hk = run_batch(cfg.model, 5, np.arange(6), 2000).samples
+    walk = first_passage_below(WalkSpec(dim=1), 0.0, 3, np.arange(6), 16)
     path = tmp_path / "samples.csv"
-    write_samples(path, res.samples, "f" * 64)
-    fingerprint, rows = read_samples(path)
-    assert fingerprint == "f" * 64
-    assert len(rows) == 6
-    for row, s in zip(rows, res.samples):
-        assert row["run_index"] == s.run_index
-        assert row["hit"] == s.hit
-        assert row["t_hit_or_horizon"] == s.t_end
-        assert row["censored"] == (not s.hit)
-        assert row["d_v_end"] == s.d_v_at_end  # repr round-trip is exact
+    for samples in (hk, walk):
+        write_samples(path, samples, "f" * 64)
+        fingerprint, rows = read_samples(path)
+        assert fingerprint == "f" * 64
+        assert len(rows) == 6
+        for row, s in zip(rows, samples):
+            assert row["run_index"] == s.run_index
+            assert row["hit"] == s.hit
+            assert row["t_hit_or_horizon"] == s.t_end
+            assert row["censored"] == (not s.hit)
+            assert row["d_v_end"] == s.end_value  # repr round-trip is exact
 
 
 def test_read_samples_rejects_untagged(tmp_path):

@@ -49,7 +49,7 @@ def _bounded_cfg(n=4, d=1, seed=3):
 
 
 def _sample_tuple(s):
-    return (s.run_index, s.hit, s.t_hit, s.horizon, s.d_v_at_end, s.base_seed)
+    return (s.run_index, s.hit, s.t_hit, s.horizon, s.end_value, s.base_seed)
 
 
 def test_hit_at_time_zero():
@@ -64,7 +64,7 @@ def test_hit_at_time_zero():
     res = run_batch(cfg, 0, [0], horizon=10)
     s = res.samples[0]
     assert s.hit and s.t_hit == 0 and s.t_end == 0
-    assert s.d_v_at_end == pytest.approx(0.1 * np.sqrt(2.0))
+    assert s.end_value == pytest.approx(0.1 * np.sqrt(2.0))
 
 
 def test_t_end_property():
@@ -74,6 +74,10 @@ def test_t_end_property():
         assert s.t_end == s.t_hit
     else:
         assert s.t_end == s.horizon
+    # A censored HK run carries t_hit = horizon, as the oracles' runs do.
+    censored = run_batch(_dyadic_cfg(), 801, [0], horizon=100).samples[0]
+    assert not censored.hit
+    assert censored.t_hit == censored.t_end == censored.horizon == 100
 
 
 def test_batch_matches_solo_runs_bitwise():
@@ -120,7 +124,7 @@ def test_horizon_extension_consistency():
         elif l.hit:
             assert l.t_hit > 60
         else:
-            assert l.d_v_at_end > cfg.epsilon
+            assert l.end_value > cfg.epsilon
 
 
 def test_indexed_path_matches_lockstep_bitwise(monkeypatch):
@@ -183,7 +187,7 @@ def test_absorbing_audit_bounded_small_delta():
     assert all(s.hit for s in res.samples)
     assert res.absorb_ok is not None and res.absorb_ok.all()
     for s in res.samples:
-        assert s.d_v_at_end <= cfg.epsilon
+        assert s.end_value <= cfg.epsilon
 
 
 def test_absorb_ok_none_without_extension():
@@ -251,7 +255,7 @@ def test_trajectory_recorder_strides():
     assert np.all(interior % 7 == 0)
     assert rec.d_v.shape == rec.times.shape
     assert np.all(rec.d_v > 0)
-    assert rec.d_v[-1] == pytest.approx(sample.d_v_at_end)
+    assert rec.d_v[-1] == pytest.approx(sample.end_value)
 
 
 def test_trajectory_snapshots_and_gap():

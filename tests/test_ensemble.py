@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import hklab.ensemble as ensemble
-from hklab.engine import StoppingTimeSample
 from hklab.ensemble import (
     MIN_FIT_POINTS,
     EnsembleError,
@@ -23,16 +22,17 @@ from hklab.ensemble import (
 )
 from hklab.model import InitialCondition, ModelConfig
 from hklab.noise import NoiseSpec
+from hklab.walks import HittingSample
 
 
 def _sample(run_index, t_hit, horizon):
     hit = t_hit is not None
-    return StoppingTimeSample(
+    return HittingSample(
         run_index=run_index,
         hit=hit,
-        t_hit=t_hit,
+        t_hit=t_hit if hit else horizon,
         horizon=horizon,
-        d_v_at_end=0.1 if hit else 2.0,
+        end_value=0.1 if hit else 2.0,
         base_seed=0,
     )
 
@@ -89,6 +89,13 @@ def test_events_reclassify_at_smaller_horizon():
     np.testing.assert_array_equal(hit, [True, False, False])
     with pytest.raises(ValueError, match="exceeds sampled horizon"):
         events_from_samples(samples, 200)
+    with pytest.raises(ValueError, match="negative"):
+        events_from_samples(samples, -5)
+    # Horizon 0 is a horizon, not a missing one: every run is censored at 0.
+    curve = survival_from_samples(samples, 0)
+    assert curve.horizon == 0 and curve.censored == 3
+    np.testing.assert_array_equal(curve.times, [0])
+    np.testing.assert_array_equal(curve.values, [1.0])
 
 
 def test_censored_mean_and_hit_fraction():
@@ -163,8 +170,8 @@ def test_ensemble_worker_count_invariance():
     horizon = 3000
     one = run_ensemble(cfg, 12, horizon, base_seed=5, workers=1, extra_after_hit=20)
     four = run_ensemble(cfg, 12, horizon, base_seed=5, workers=4, extra_after_hit=20)
-    assert [(s.run_index, s.t_hit, s.d_v_at_end) for s in one.samples] == [
-        (s.run_index, s.t_hit, s.d_v_at_end) for s in four.samples
+    assert [(s.run_index, s.t_hit, s.end_value) for s in one.samples] == [
+        (s.run_index, s.t_hit, s.end_value) for s in four.samples
     ]
     np.testing.assert_array_equal(one.absorb_ok, four.absorb_ok)
     assert one.summary.hit_fraction == four.summary.hit_fraction

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+import hklab.walks as walks
 from hklab.engine import run_batch
 from hklab.model import InitialCondition, ModelConfig
 from hklab.noise import NoiseSpec, noise_block
+from hklab.projected import MapSpec, ProjectedSystemSpec, hitting_time_td
 from hklab.prng import run_keys
 from hklab.walks import (
     SIMPLE_STEP,
@@ -231,3 +233,32 @@ def test_hitting_sample_t_end():
     samples = first_passage_below(WalkSpec(dim=1), 0.0, 0, np.arange(20), 16)
     for s in samples:
         assert s.t_end == (s.t_hit if s.hit else 16)
+
+
+def test_oracles_invariant_to_chunk_boundaries(monkeypatch):
+    # Every step is exact (+-1 walk steps; group means of axis signs over
+    # power-of-two groups), so the cumsum walks give the same samples
+    # whatever the chunking; the stretched and projected recursions step
+    # one at a time.  A tiny chunk budget moves every chunk boundary.
+    idx = np.arange(64)
+    signs = NoiseSpec("rademacher_axes", 1.0)
+    gap1 = ClusterWalkSpec(n1=2, n2=4, noise=signs, dim=1)
+    gap2 = ClusterWalkSpec(n1=2, n2=2, noise=NoiseSpec("rademacher_axes", np.sqrt(2.0)), dim=2)
+    proj = ProjectedSystemSpec(dim=1, r=16.0, r0=1.0, map=MapSpec("identity"), noise=signs)
+    calls = (
+        lambda: first_passage_below(WalkSpec(dim=1), -2.0, 4, idx, 300),
+        lambda: stretched_first_passage(StretchedWalkSpec(beta=1.5, bound_m=1.0), 4, idx, 300),
+        lambda: cluster_gap_walk(gap1, [3.0], 4, idx, 300, threshold=0.5),
+        lambda: cluster_gap_walk(gap2, [3.0, 0.0], 4, idx, 300, radius=1.0),
+        lambda: hitting_time_td(proj, 4, idx, 300),
+    )
+
+    def outcomes():
+        return [[(s.run_index, s.hit, s.t_hit, s.end_value) for s in call()] for call in calls]
+
+    whole = outcomes()
+    for samples in whole:
+        assert any(hit for _, hit, _, _ in samples)
+        assert not all(hit for _, hit, _, _ in samples)
+    monkeypatch.setattr(walks, "_CHUNK_ELEMS", 5)
+    assert outcomes() == whole
