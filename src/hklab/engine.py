@@ -32,17 +32,13 @@ from .model import (
 from .neighbors import NeighborIndex, max_sq_dist, resolve_mode
 from .noise import noise_block, uniforms_per_draw
 from .prng import run_keys
-from .walks import HittingSample, _samples
+from .walks import HittingSample, _chunk_steps, _samples
 
 # Abort threshold for runaway unbounded states.
 MAGNITUDE_GUARD = 1e12
 
 # Lockstep batches are worthwhile only for small per-run systems.
 _LOCKSTEP_MAX_N = 128
-
-# Target element count for one pre-generated noise chunk.  4M uniforms
-# (32 MB) bound a batch's transient memory; larger chunks were no faster.
-_CHUNK_ELEMS = 4_000_000
 
 # Steps per chunk stay below this even when few runs remain.
 _CHUNK_STEPS = 4096
@@ -240,7 +236,7 @@ def run_batch(
         a = live.shape[0]
         if a == 0:
             break
-        b = int(min(_CHUNK_STEPS, max(1, _CHUNK_ELEMS // max(1, a * n * w)), deadline.max() - t))
+        b = min(_CHUNK_STEPS, _chunk_steps(a, n, w, int(deadline.max()) - t))
         ts = np.arange(t + 1, t + b + 1, dtype=np.int64)
         xi = noise_block(cfg.noise, keys, ts, n, d)
         hit_live = hit_all[live]
@@ -299,8 +295,10 @@ def _dv2_large(states: np.ndarray, eps2: float):
     it is at least that far apart, so the run cannot be synchronized.
     The prune's square is the very term pairwise_sq_dists adds for that
     pair, and adding nonnegative terms never rounds below one of them,
-    so it never contradicts the full scan, which runs only for
-    near-synchronized snapshots.
+    so it never contradicts the exact maximum.  Only near-synchronized
+    snapshots reach neighbors.max_sq_dist, which scans just the rows
+    whose distance to the far corner of the bounding box could exceed
+    the best distance found so far.
     """
     lo = states.min(axis=0)
     hi = states.max(axis=0)

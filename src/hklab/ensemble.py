@@ -75,6 +75,8 @@ def events_from_samples(samples, horizon: int | None = None):
     Evaluating at a smaller horizon reclassifies late hits as censored,
     exactly as if the ensemble had been run with that horizon.
     """
+    if len(samples) == 0:
+        raise ValueError("empty sample list: no runs to evaluate")
     full = samples[0].horizon
     if horizon is None:
         horizon = full
@@ -109,9 +111,9 @@ def survival_from_events(t_end, hit, horizon: int, grid=None) -> SurvivalCurve:
 
 
 def survival_from_samples(samples, horizon: int | None = None, grid=None) -> SurvivalCurve:
+    t_end, hit = events_from_samples(samples, horizon)
     if horizon is None:
         horizon = samples[0].horizon
-    t_end, hit = events_from_samples(samples, horizon)
     return survival_from_events(t_end, hit, horizon, grid)
 
 

@@ -15,7 +15,7 @@ import itertools
 
 import numpy as np
 
-from .model import neighbor_sums, pairwise_sq_dists
+from .model import neighbor_sums, pairwise_sq_dists, sq_norm_last
 
 MODES = ("brute", "grid", "auto")
 
@@ -36,12 +36,27 @@ def resolve_mode(mode: str, n: int, d: int) -> str:
 
 
 def max_sq_dist(states: np.ndarray) -> float:
-    """Largest pairwise squared distance of (n, d) states, scanned in row blocks."""
+    """Largest pairwise squared distance of (n, d) states, exactly.
+
+    Row i is bounded by ub_i, the squared norm of its per-coordinate
+    distance to the farther end of the states' bounding box.  Each
+    coordinate term of ub_i is at least the rounded term of every pair
+    (i, j) and the terms are added in the same order, so ub_i is at
+    least every computed distance of row i.  After one full row (the
+    largest ub), only rows whose bound exceeds the best so far are
+    scanned, in row blocks; the result equals the full scan's maximum.
+    """
     n = states.shape[0]
+    lo = states.min(axis=0)
+    hi = states.max(axis=0)
+    ub = sq_norm_last(np.maximum(states - lo, hi - states))
+    top = int(np.argmax(ub))
+    best = float(pairwise_sq_dists(states[top : top + 1], states).max())
+    rows = np.flatnonzero(ub > best)
     block = max(1, _BRUTE_BLOCK_ELEMS // max(1, n))
-    return max(
-        float(pairwise_sq_dists(states[a : a + block], states).max()) for a in range(0, n, block)
-    )
+    for a in range(0, rows.size, block):
+        best = max(best, float(pairwise_sq_dists(states[rows[a : a + block]], states).max()))
+    return best
 
 
 class NeighborIndex:

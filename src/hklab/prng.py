@@ -6,7 +6,10 @@ counter-based generator: the per-run key is derived from
 (base_seed, run_index) by splitmix64, and the 256-bit counter encodes
 the step t and the block offset inside the step.  Nothing is
 sequential, so draws are bit-identical no matter how runs are batched,
-chunked, or split across worker processes.
+chunked, or split across worker processes.  One Philox bit generator
+serves a whole block of runs: it is rekeyed for each run by setting its
+key, counter and buffer position, which is the stream a fresh
+Philox(key, counter) would produce.
 
 Stream layout: a step that needs `count` uniforms owns the counter
 blocks [t * bps, (t + 1) * bps) with bps = ceil(count / 4), four
@@ -67,6 +70,10 @@ def uniforms_at(keys, ts, count: int) -> np.ndarray:
     Returns
     -------
     (A, B, count) float64 in [0, 1).
+
+    One Philox generator is built per call and rekeyed for each run;
+    every double equals the one a fresh Generator(Philox(key=k,
+    counter=ts[0] * bps)) would return at that position.
     """
     keys = np.asarray(keys, dtype=np.uint64)
     ts = np.asarray(ts, dtype=np.uint64)
@@ -76,12 +83,19 @@ def uniforms_at(keys, ts, count: int) -> np.ndarray:
     if not np.all(ts[1:] == ts[:-1] + np.uint64(1)):
         raise ValueError("ts must be consecutive ascending steps")
     bps = blocks_per_step(count)
-    start = int(ts[0]) * bps
-    per_step = 4 * bps
     out = np.empty((keys.shape[0], nsteps, count), dtype=np.float64)
-    for a, key in enumerate(keys):
-        buf = Generator(Philox(key=int(key), counter=start)).random(nsteps * per_step)
-        out[a] = buf.reshape(nsteps, per_step)[:, :count]
+    buf = np.empty((nsteps, 4 * bps), dtype=np.float64)
+    bitgen = Philox(key=0, counter=int(ts[0]) * bps)
+    gen = Generator(bitgen)
+    # Philox(key=k, counter=t0 * bps) starts from this state with its
+    # first key word set to k: the counter is set and the buffer empty.
+    state = bitgen.state
+    key = state["state"]["key"]
+    for a, k in enumerate(keys):
+        key[0] = k
+        bitgen.state = state
+        gen.random(out=buf)
+        out[a] = buf[:, :count]
     return out
 
 

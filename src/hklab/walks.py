@@ -35,13 +35,16 @@ from .model import sq_norm_last
 from .noise import NoiseSpec, noise_block, uniforms_per_draw, validate_noise_spec
 from .prng import run_keys
 
+# Uniforms in one pre-generated noise chunk for every chunked loop: the
+# engine, the walks and the projected recursion.  2M uniforms (16 MB)
+# bound a chunk's transient memory.
 _CHUNK_ELEMS = 2_000_000
 
 # d=1 steps of exactly +-1: the axis-sign family scales by delta/sqrt(d) = 1.
 SIMPLE_STEP = NoiseSpec(family="rademacher_axes", delta=1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HittingSample:
     """One run of a hitting-time experiment, censored at the horizon.
 

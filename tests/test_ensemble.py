@@ -98,6 +98,18 @@ def test_events_reclassify_at_smaller_horizon():
     np.testing.assert_array_equal(curve.values, [1.0])
 
 
+def test_empty_sample_list_rejected():
+    for call in (
+        lambda: events_from_samples([]),
+        lambda: events_from_samples([], 10),
+        lambda: survival_from_samples([]),
+        lambda: summarize([], 10, 0),
+        lambda: censored_mean_growth([], [5, 10]),
+    ):
+        with pytest.raises(ValueError, match="empty sample list"):
+            call()
+
+
 def test_censored_mean_and_hit_fraction():
     assert censored_mean([2, 4, 6]) == 4.0
     assert hit_fraction([True, False, True, False]) == 0.5

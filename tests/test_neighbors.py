@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hklab.model import hk_step
-from hklab.neighbors import NeighborIndex, resolve_mode
+import hklab.neighbors as neighbors
+from hklab.model import hk_step, pairwise_sq_dists
+from hklab.neighbors import NeighborIndex, max_sq_dist, resolve_mode
 
 random_clouds = arrays(
     np.float64,
@@ -45,6 +46,48 @@ def test_grid_matches_brute_negative_coordinates():
     # floor() cells must bucket negative coordinates consistently.
     states = np.array([[-0.5, -0.5], [-0.25, -0.25], [0.0, 0.0], [0.25, 0.25]])
     _assert_same_membership(states, 0.25)
+
+
+@st.composite
+def pruned_scan_states(draw):
+    """States that stress the bounding-box prune of max_sq_dist."""
+    n = draw(st.integers(1, 300))
+    d = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["box", "lattice", "circle", "corners"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "box":
+        # Clamped to the box: many coordinates sit exactly on its faces.
+        x = np.clip(rng.uniform(-1.5, 1.5, (n, d)), -1.0, 1.0)
+    elif kind == "lattice":
+        # Few lattice values: many rows tie for the largest distance.
+        x = rng.integers(-2, 3, (n, d)) * draw(st.sampled_from([0.25, 0.1, 1 / 3]))
+    elif kind == "corners":
+        # Box corners moved inward by a few ulps: bounds and distances of
+        # different rows tie or differ in their last bits.
+        x = rng.choice([-1.0, 1.0], (n, d)) * (1.0 - rng.integers(0, 4, (n, d)) * 2.0**-53)
+    else:
+        # Points on a circle: most rows' bounds exceed the true maximum.
+        theta = rng.uniform(0.0, 2.0 * np.pi, n)
+        x = np.zeros((n, d))
+        x[:, 0] = np.cos(theta)
+        if d > 1:
+            x[:, 1] = np.sin(theta)
+    shift = draw(st.sampled_from([0.0, 0.3, -7.25, 1e4, 1e8, -1e8]))
+    return x + shift
+
+
+@given(pruned_scan_states(), st.integers(1, 7))
+@settings(max_examples=150, deadline=None)
+def test_max_sq_dist_equals_full_scan(states, block_rows):
+    full = float(pairwise_sq_dists(states).max())
+    assert max_sq_dist(states) == full
+    # Blocks of a few rows: the surviving rows span several blocks.
+    saved = neighbors._BRUTE_BLOCK_ELEMS
+    neighbors._BRUTE_BLOCK_ELEMS = block_rows * states.shape[0]
+    try:
+        assert max_sq_dist(states) == full
+    finally:
+        neighbors._BRUTE_BLOCK_ELEMS = saved
 
 
 def test_query_always_contains_self_and_is_sorted():

@@ -9,6 +9,7 @@ be regenerated casually.
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 
 from hklab.prng import blocks_per_step, run_keys, splitmix64, uniforms_at, uniforms_for_step
 
@@ -124,3 +125,31 @@ def test_empty_requests():
     assert u.shape == (2, 0, 3)
     u = uniforms_at(keys, [0, 1], 0)
     assert u.shape == (2, 2, 0)
+
+
+def _fresh_reference(key, ts, count):
+    """The stream of a freshly seeded Philox for one run, steps ts."""
+    bps = blocks_per_step(count)
+    gen = Generator(Philox(key=int(key), counter=int(ts[0]) * bps))
+    return gen.random(len(ts) * 4 * bps).reshape(len(ts), 4 * bps)[:, :count]
+
+
+def test_uniforms_match_fresh_philox_per_run():
+    # Keys at and above 2^63 as well as below; counts 1-9 cover every
+    # padding of the last 4-wide block.  Calls run back to back, and each
+    # run follows another run's rekeyed state, so leaked state would show.
+    keys = np.concatenate(
+        [
+            run_keys(2024, np.arange(6)),
+            np.array([0, 1, 2**63 - 1, 2**63, 2**64 - 1], dtype=np.uint64),
+        ]
+    )
+    assert (keys >= np.uint64(2**63)).any() and (keys < np.uint64(2**63)).any()
+    for count in range(1, 10):
+        for t0, nsteps in ((0, 1), (1, 3), (37, 17), (123_456, 5)):
+            ts = np.arange(t0, t0 + nsteps)
+            for order in (keys, keys[::-1]):
+                got = uniforms_at(order, ts, count)
+                assert got.shape == (order.size, nsteps, count)
+                for a, key in enumerate(order):
+                    np.testing.assert_array_equal(got[a], _fresh_reference(key, ts, count))
