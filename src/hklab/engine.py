@@ -7,10 +7,11 @@ explicit censoring flag, and d_V at that step as end_value.  It can
 optionally keep stepping past the hit to audit that the condition is
 absorbing when delta <= epsilon / 2.
 
-Ensembles are advanced in lockstep: one (A, n, d) tensor holds all
-still-active runs and retired runs are compacted away.  Because every
-noise draw is a pure function of (base_seed, run_index, t, agent), and
-every per-run reduction has a fixed order, a run's trajectory is
+Ensembles are advanced in lockstep: one runs-last (n, d, A) tensor holds
+all still-active runs and retired runs are compacted away.  Because
+every noise draw is a pure function of (base_seed, run_index, t, agent),
+and every per-run reduction has a fixed order (the model's lockstep
+kernel adds neighbors in ascending agent order), a run's trajectory is
 bit-identical no matter which other runs share the batch.
 """
 
@@ -25,8 +26,8 @@ from .model import (
     BOX_LO,
     ModelConfig,
     hk_step,
-    neighbor_sums,
     pairwise_sq_dists,
+    runs_last_sums,
     sq_norm_last,
 )
 from .neighbors import NeighborIndex, max_sq_dist, resolve_mode
@@ -46,29 +47,6 @@ _CHUNK_STEPS = 4096
 # Batches wider than this are advanced in independent slices; per-run
 # streams make the split invisible in the results.
 _RUN_SLICE = 8192
-
-
-class _StepBuffers:
-    """Preallocated per-chunk workspaces; steps reuse them in place.
-
-    The batched update allocates ~5 MB of temporaries per step without
-    these, which dominates runtime for long horizons.  d2 holds the
-    model.pairwise_sq_dists distances of the current states: they give
-    both the sync check and the next step's adjacency.  Every operation
-    writes through ``out=`` into the same arrays the allocating form
-    would produce, so results are bit-identical.
-    """
-
-    def __init__(self, a: int, n: int, d: int):
-        self.d2 = np.empty((a, n, n))
-        self.adj = np.empty((a, n, n))
-        self.deg = np.empty((a, n))
-        self.new = np.empty((a, n, d))
-
-    def distances(self, states: np.ndarray) -> np.ndarray:
-        """Fill d2 from states; returns each run's largest squared distance."""
-        pairwise_sq_dists(states, out=self.d2)
-        return self.d2.reshape(self.d2.shape[0], -1).max(axis=1)
 
 
 @dataclass
@@ -203,7 +181,10 @@ def run_batch(
         return BatchResult(samples=samples, absorb_ok=absorb, record=None)
 
     keys = run_keys(base_seed, run_indices)
-    states = np.tile(x0, (a0, 1, 1))
+    # Runs on the last axis: every elementwise op and every reduction of
+    # the step runs over the contiguous run axis.  The workspace is d2
+    # (distances, then adjacency), prod, deg and new.
+    states = np.repeat(x0[:, :, None], a0, axis=2)
 
     hit_all = np.zeros(a0, dtype=bool)
     t_hit_all = np.full(a0, horizon, dtype=np.int64)
@@ -211,49 +192,60 @@ def run_batch(
     absorb_all = np.ones(a0, dtype=bool)
 
     live = np.arange(a0)
-    buf = _StepBuffers(a0, n, d)
-    dv2 = buf.distances(states)
+    a = a0
+    d2, prod = np.empty((n, n, a)), np.empty((n, n, a))
+    deg, new = np.empty((n, a)), np.empty((n, d, a))
+
+    def sq_dists():
+        # Distances of the live runs into d2, through the (A, n, d) and
+        # (A, n, n) views of the runs-last buffers.
+        runs = (2, 0, 1)
+        pairwise_sq_dists(states.transpose(runs), out=d2.transpose(runs), tmp=prod.transpose(runs))
+
+    sq_dists()
+    dv2 = d2.max(axis=(0, 1))
     hit0 = dv2 <= eps2
     hit_all[hit0] = True
     t_hit_all[hit0] = 0
     dve_all[hit0] = np.sqrt(dv2[hit0])
     deadline = np.where(hit0, extra_after_hit, horizon).astype(np.int64)
     if recorder:
-        recorder.observe(0, states[0], float(dv2[0]), final=bool(deadline[0] == 0))
+        recorder.observe(0, states[:, :, 0], float(dv2[0]), final=bool(deadline[0] == 0))
 
     w = uniforms_per_draw(cfg.noise.family, d)
     t = 0
     while True:
         keep = deadline > t
         if not keep.all():
-            states = states[keep]
-            d2_kept = buf.d2[keep]
+            states = states[:, :, keep]
+            d2 = d2[:, :, keep]
             deadline = deadline[keep]
             live = live[keep]
             keys = keys[keep]
-            buf = _StepBuffers(live.shape[0], n, d)
-            buf.d2[...] = d2_kept
-        a = live.shape[0]
+            a = live.shape[0]
+            prod, deg, new = np.empty((n, n, a)), np.empty((n, a)), np.empty((n, d, a))
         if a == 0:
             break
         b = min(_CHUNK_STEPS, _chunk_steps(a, n, w, int(deadline.max()) - t))
         ts = np.arange(t + 1, t + b + 1, dtype=np.int64)
-        xi = noise_block(cfg.noise, keys, ts, n, d)
+        # (B, n, d, A) view of the (A, B, n, d) draws; no copy is made.
+        xi = noise_block(cfg.noise, keys, ts, n, d).transpose(1, 2, 3, 0)
         hit_live = hit_all[live]
         for k in range(b):
             tk = t + k + 1
             running = tk <= deadline
-            # Adjacency comes from the previous step's distances in buf.d2.
-            neighbor_sums(buf.d2, states, cfg.epsilon, out=buf.new, adj=buf.adj, deg=buf.deg)
-            buf.new /= buf.deg[..., None]
-            buf.new += xi[:, k]
+            # Adjacency comes from the previous step's distances in d2.
+            runs_last_sums(states, d2, cfg.epsilon, out=new, prod=prod, deg=deg)
+            new /= deg[:, None]
+            new += xi[k]
             if bounded:
-                np.clip(buf.new, BOX_LO, BOX_HI, out=buf.new)
+                np.clip(new, BOX_LO, BOX_HI, out=new)
             if running.all():
-                states, buf.new = buf.new, states
+                states, new = new, states
             else:
-                states = np.where(running[:, None, None], buf.new, states)
-            dv2 = buf.distances(states)
+                states = np.where(running, new, states)
+            sq_dists()
+            dv2 = d2.max(axis=(0, 1))
             synced = dv2 <= eps2
             newly = running & ~hit_live & synced
             if newly.any():
@@ -272,10 +264,10 @@ def run_batch(
                 if censoring.any():
                     dve_all[live[censoring]] = np.sqrt(dv2[censoring])
             if recorder and running[0]:
-                recorder.observe(tk, states[0], float(dv2[0]), final=bool(deadline[0] == tk))
+                recorder.observe(tk, states[:, :, 0], float(dv2[0]), final=bool(deadline[0] == tk))
         t += b
         if not bounded and np.abs(states).max() > guard:
-            worst = int(live[np.argmax(np.abs(states).max(axis=(1, 2)))])
+            worst = int(live[np.argmax(np.abs(states).max(axis=(0, 1)))])
             raise RuntimeError(
                 f"state magnitude exceeded guard {guard:g} by t={t} "
                 f"(run_index={int(run_indices[worst])}); aborting"

@@ -6,13 +6,21 @@ so each agent is its own neighbor).  One step replaces every row by the
 mean of its neighbor rows plus a noise row; in bounded mode the result
 is clamped coordinatewise to [-1, 1] after the noise is added.
 
-Every path -- the batched engine, the grid index, the brute scan and
-the projected hk_mean map -- takes its distances from pairwise_sq_dists
-and its neighbor sums from neighbor_sums.  The distance is one
-expression: per coordinate subtract and square, then add the
-coordinates in order (sq_norm_last adds in the same order).  It depends
-only on differences, so translated states reach the same threshold
-decisions, and all paths reach bit-identical accept/reject decisions.
+The distance is one expression on every path: per coordinate subtract
+and square, then add the coordinates in order (sq_norm_last adds in the
+same order).  It depends only on differences, so translated states
+reach the same threshold decisions, and all paths reach bit-identical
+accept/reject decisions.
+
+The lockstep kernel (pairwise_sq_dists on runs-last views, then
+runs_last_sums) serves the batched engine, hk_step without an index
+(one run) and the projected hk_mean map.  It holds runs on the last
+axis, (n, d, A), and adds each agent's neighbor rows in ascending agent
+order, whatever BLAS numpy is linked against, so a run's sums do not
+depend on how many runs share the batch.  The per-run indexed path (neighbors.NeighborIndex, n > 128
+in the engine) sums by BLAS matmul in cell order instead; it agrees
+with the lockstep kernel bitwise only where the arithmetic is exact
+(dyadic states).
 """
 
 from __future__ import annotations
@@ -45,39 +53,69 @@ def sq_norm_last(v: np.ndarray) -> np.ndarray:
 
 
 def pairwise_sq_dists(
-    x: np.ndarray, y: np.ndarray | None = None, out: np.ndarray | None = None
+    x: np.ndarray,
+    y: np.ndarray | None = None,
+    out: np.ndarray | None = None,
+    tmp: np.ndarray | None = None,
 ) -> np.ndarray:
     """Squared distances between rows: (..., p, d) x (..., q, d) -> (..., p, q).
 
     y defaults to x.  Per coordinate the rows are subtracted and the
     difference squared; the coordinates are added in order into ``out``
     when given.  Entry [i, j] therefore equals sq_norm_last(x[i] - y[j])
-    bit for bit, for every d.
+    bit for bit, for every d and every memory layout.
+
+    ``tmp`` is a scratch buffer of the result's shape for d >= 2.  A
+    given buffer is filled with x[i] across j and y[j] subtracted in
+    place: on the lockstep batch's cache-sized runs-last buffers numpy
+    runs that pair faster than one broadcasting subtraction.  Without a
+    buffer the subtraction allocates it, which costs less on the many
+    small blocks of the indexed path.
     """
     xs = x[..., :, None, :]
     ys = (x if y is None else y)[..., None, :, :]
-    out = np.subtract(xs[..., 0], ys[..., 0], out=out)
-    np.square(out, out=out)
-    tmp = None
+
+    def sq_diff(k, buf):
+        if buf is None:
+            buf = np.subtract(xs[..., k], ys[..., k])
+        else:
+            np.copyto(buf, xs[..., k])
+            buf -= ys[..., k]
+        return np.square(buf, out=buf)
+
+    out = sq_diff(0, out)
     for k in range(1, x.shape[-1]):
-        tmp = np.subtract(xs[..., k], ys[..., k], out=tmp)
-        out += np.square(tmp, out=tmp)
+        tmp = sq_diff(k, tmp)
+        out += tmp
     return out
 
 
-def neighbor_sums(d2: np.ndarray, x: np.ndarray, epsilon: float, out=None, adj=None, deg=None):
-    """Neighbor row sums (..., p, d) and counts (..., p) from squared distances.
+def runs_last_sums(x: np.ndarray, d2: np.ndarray, epsilon: float, out=None, prod=None, deg=None):
+    """Neighbor sums (n, d, A) and counts (n, A) of runs-last states.
 
-    d2 (..., p, q) holds the distances from p agents to the q rows of
-    x (..., q, d).  The 0/1 adjacency d2 <= epsilon^2 sums the rows by
-    one matmul, so the summation order is fixed by the shapes alone.
-    The optional buffers are written in place; a step's neighbor mean
-    is sums / deg.
+    d2 (n, n, A) holds the squared distances of x (n, d, A), from
+    pairwise_sq_dists on the (A, n, d) and (A, n, n) views, and is
+    overwritten by the 0/1 adjacency d2 <= epsilon^2.  That relation
+    is exactly symmetric, so sums[i, c, a] is the reduce over the
+    outermost axis j of adj[j, i, a] * x[j, c, a].  numpy reduces an
+    outer axis one slice at a time, which adds the terms in ascending
+    j for every A, A = 1 included; a reduce over a contiguous axis
+    would switch to pairwise summation from length 8 on.  Counts are
+    exact.  ``prod`` is one (n, n, A) buffer reused for each
+    coordinate, filled with x[j] across i and multiplied in place; a
+    step's neighbor mean is sums / deg[:, None].
     """
-    if adj is None:
-        adj = np.empty(d2.shape)
-    np.less_equal(d2, epsilon * epsilon, out=adj)
-    return np.matmul(adj, x, out=out), adj.sum(axis=-1, out=deg)
+    adj = np.less_equal(d2, epsilon * epsilon, out=d2)
+    deg = np.add.reduce(adj, axis=0, out=deg)
+    if out is None:
+        out = np.empty(x.shape)
+    if prod is None:
+        prod = np.empty_like(adj)
+    for c in range(x.shape[1]):
+        np.copyto(prod, x[:, None, c])
+        prod *= adj
+        np.add.reduce(prod, axis=0, out=out[:, c])
+    return out, deg
 
 
 def clamp_to_box(x: np.ndarray, lo: float = BOX_LO, hi: float = BOX_HI) -> np.ndarray:
@@ -117,8 +155,10 @@ def hk_step(
     """One synchronous update: neighbor means, plus noise, then clamp.
 
     The neighbor mean is formed by summing neighbor rows and dividing
-    once by the neighbor count.  With ``index`` a prebuilt grid over
-    the *current* states, neighbor sums come from cell candidates; the
+    once by the neighbor count.  Without ``index`` the sums come from
+    the lockstep kernel with one run, so the step replays a lockstep
+    run bit for bit.  With ``index`` a prebuilt grid over the *current*
+    states, neighbor sums come from cell candidates in BLAS order; the
     accept/reject comparison is identical either way.
     """
     states = np.asarray(states, dtype=np.float64)
@@ -130,7 +170,9 @@ def hk_step(
     if index is not None:
         sums, deg = index.neighbor_sums(epsilon)
     else:
-        sums, deg = neighbor_sums(pairwise_sq_dists(states), states, epsilon)
+        d2 = pairwise_sq_dists(states)[:, :, None]
+        sums, deg = runs_last_sums(states[:, :, None], d2, epsilon)
+        sums, deg = sums[:, :, 0], deg[:, 0]
     out = sums / deg[:, None] + noise
     if space_mode == "bounded":
         out = clamp_to_box(out)

@@ -3,10 +3,15 @@
 The grid buckets agents into cells of side exactly epsilon (integer
 cell = floor(coordinate / epsilon)), so any neighbor of an agent lies
 in the 3^d surrounding cells.  Both modes take distances from the one
-expression model.pairwise_sq_dists and sums from model.neighbor_sums:
-brute over row blocks against all agents, grid over each cell's agents
-against its candidates.  The two modes therefore return bit-equal
-neighbor sets by construction.
+expression model.pairwise_sq_dists, so they return bit-equal neighbor
+sets by construction.
+
+Neighbor sums are one BLAS matmul of the 0/1 adjacency with the
+candidate rows: brute over row blocks against all agents, grid over
+each cell's agents against its candidates in cell order.  BLAS picks
+its own addition order (gemv and gemm differ), so these sums agree
+with the lockstep kernel's ascending-order sums (model.runs_last_sums)
+bit for bit only on dyadic states, where every addition is exact.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import itertools
 
 import numpy as np
 
-from .model import neighbor_sums, pairwise_sq_dists, sq_norm_last
+from .model import pairwise_sq_dists, sq_norm_last
 
 MODES = ("brute", "grid", "auto")
 
@@ -24,6 +29,17 @@ _BRUTE_BLOCK_ELEMS = 4_000_000
 
 # Refuse explicit grid mode when the stencil itself is astronomically big.
 _MAX_STENCIL = 1 << 20
+
+
+def _matmul_sums(d2, x, epsilon, out, deg):
+    """Neighbor sums (p, d) into out and counts (p,) into deg.
+
+    d2 (p, q) holds the distances from p agents to the q rows of x
+    (q, d); the sums are the matmul of the 0/1 adjacency with x.
+    """
+    adj = np.less_equal(d2, epsilon * epsilon, out=d2)
+    np.matmul(adj, x, out=out)
+    adj.sum(axis=-1, out=deg)
 
 
 def resolve_mode(mode: str, n: int, d: int) -> str:
@@ -121,9 +137,10 @@ class NeighborIndex:
     def neighbor_sums(self, epsilon: float | None = None):
         """Per-agent neighbor row sums and neighbor counts.
 
-        Returns (sums (n, d), deg (n,)).  Summation order differs
-        between modes (ascending j for brute, cell order for grid), so
-        sums may differ in final ulps; membership never does.
+        Returns (sums (n, d), deg (n,)).  Both modes sum by BLAS
+        matmul, brute over all agents and grid over cell candidates, so
+        sums may differ in final ulps between modes; membership never
+        does.
         """
         self._check_fresh()
         if epsilon is not None and epsilon != self.epsilon:
@@ -135,12 +152,12 @@ class NeighborIndex:
             block = max(1, _BRUTE_BLOCK_ELEMS // max(1, self.n))
             for a in range(0, self.n, block):
                 b = min(self.n, a + block)
-                neighbor_sums(pairwise_sq_dists(x[a:b], x), x, eps, out=sums[a:b], deg=deg[a:b])
+                _matmul_sums(pairwise_sq_dists(x[a:b], x), x, eps, sums[a:b], deg[a:b])
             return sums, deg
         # Rows are filled in cell order, then put back in agent order.
         xs = x[self._order]
         for cell, (a, b) in zip(self._occupied, self._spans.values()):
             cand = np.concatenate([xs[lo:hi] for lo, hi in self._near(cell)])
-            neighbor_sums(pairwise_sq_dists(xs[a:b], cand), cand, eps, out=sums[a:b], deg=deg[a:b])
+            _matmul_sums(pairwise_sq_dists(xs[a:b], cand), cand, eps, sums[a:b], deg[a:b])
         unsort = np.argsort(self._order)
         return sums[unsort], deg[unsort]

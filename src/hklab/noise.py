@@ -85,19 +85,32 @@ def _uniforms_to_noise(spec: NoiseSpec, u: np.ndarray, d: int) -> np.ndarray:
         return out
     if spec.family == "uniform_ball":
         npairs = (d + 1) // 2
+        # Box-Muller: pair k gives coordinates 2k (cos) and 2k+1 (sin);
+        # the sin of the last pair is unused when d is odd.  Each
+        # product below is the same rounded operation as its allocating
+        # form, so the draws are bit-identical to it.
         u1 = u[..., 0 : 2 * npairs : 2]
-        u2 = u[..., 1 : 2 * npairs : 2]
+        theta = np.multiply(u[..., 1 : 2 * npairs : 2], _TWO_PI)
         # log1p(-u1) is finite for u1 in [0, 1).
-        rad = np.sqrt(-2.0 * np.log1p(-u1))
-        gauss = np.empty(u.shape[:-1] + (2 * npairs,), dtype=np.float64)
-        gauss[..., 0::2] = rad * np.cos(_TWO_PI * u2)
-        gauss[..., 1::2] = rad * np.sin(_TWO_PI * u2)
-        g = gauss[..., :d]
-        nrm2 = np.einsum("...k,...k->...", g, g)
-        nrm = np.sqrt(nrm2)
-        safe = np.where(nrm > 0.0, nrm, 1.0)
-        radius = spec.delta * u[..., 2 * npairs] ** (1.0 / d)
-        v = g * (radius / safe)[..., None]
+        rad = np.negative(u1)
+        np.log1p(rad, out=rad)
+        rad *= -2.0
+        np.sqrt(rad, out=rad)
+        v = np.empty(u.shape[:-1] + (d,), dtype=np.float64)
+        cos, sin = v[..., 0::2], v[..., 1::2]
+        np.cos(theta, out=cos)
+        cos *= rad
+        half = d // 2
+        np.sin(theta[..., :half], out=sin)
+        sin *= rad[..., :half]
+        del theta, rad
+        nrm = np.einsum("...k,...k->...", v, v)
+        np.sqrt(nrm, out=nrm)
+        nrm[nrm == 0.0] = 1.0
+        radius = u[..., 2 * npairs] ** (1.0 / d)
+        radius *= spec.delta
+        radius /= nrm
+        v *= radius[..., None]
         # Rounding in normalize-and-scale can overshoot the bound by an
         # ulp; rescale those draws so ||v|| <= delta holds exactly.
         s2 = np.einsum("...k,...k->...", v, v)

@@ -39,20 +39,15 @@ def _fmt(value) -> str:
 
 
 def write_samples(path, samples, fingerprint: str) -> None:
+    """One line per sample; no field ever needs csv quoting."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"{FINGERPRINT_PREFIX}{fingerprint}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SAMPLE_COLUMNS)
-        for s in samples:
-            writer.writerow(
-                [
-                    _fmt(s.run_index),
-                    _fmt(s.hit),
-                    _fmt(s.t_end),
-                    _fmt(not s.hit),
-                    _fmt(s.end_value),
-                ]
-            )
+        fh.write(",".join(SAMPLE_COLUMNS) + "\n")
+        fh.writelines(
+            f"{int(s.run_index)},{int(s.hit)},{int(s.t_end)},{int(not s.hit)},"
+            f"{float(s.end_value)!r}\n"
+            for s in samples
+        )
 
 
 def write_survival(path, curve: SurvivalCurve, fingerprint: str) -> None:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import neighbor_sums, pairwise_sq_dists, sq_norm_last
+from .model import pairwise_sq_dists, runs_last_sums, sq_norm_last
 from .noise import NoiseSpec, uniforms_per_draw, validate_noise_spec
 from .prng import run_keys, uniforms_for_step
 from .walks import HittingSample, _censored_hitting, _chunk_steps, _step_each, _steps_block
@@ -147,9 +147,11 @@ def apply_map(spec: MapSpec, x: np.ndarray, r0: float) -> np.ndarray:
     if spec.family == "hk_mean":
         lead = x.shape[:-1]
         pts = x.reshape(-1, spec.n, spec.d)
-        sums, deg = neighbor_sums(pairwise_sq_dists(pts), pts, spec.epsilon)
-        means = sums / deg[:, :, None]
-        return means.reshape(*lead, spec.n * spec.d)
+        d2 = np.empty((spec.n, spec.n, pts.shape[0]))
+        pairwise_sq_dists(pts, out=d2.transpose(2, 0, 1))
+        sums, deg = runs_last_sums(np.moveaxis(pts, 0, -1), d2, spec.epsilon)
+        sums /= deg[:, None]
+        return np.moveaxis(sums, -1, 0).reshape(*lead, spec.n * spec.d)
     raise ValueError(f"unknown map family {spec.family!r}")
 
 

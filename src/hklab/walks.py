@@ -78,10 +78,13 @@ class HittingSample:
 
 def _samples(run_indices, hit, t_hit, end_value, horizon: int, base_seed: int):
     """One HittingSample per run from per-run arrays of equal length."""
-    return [
-        HittingSample(int(r), bool(h), int(t), horizon, float(v), base_seed)
-        for r, h, t, v in zip(run_indices, hit, t_hit, end_value)
-    ]
+    columns = zip(
+        np.asarray(run_indices, dtype=np.int64).tolist(),
+        np.asarray(hit, dtype=bool).tolist(),
+        np.asarray(t_hit, dtype=np.int64).tolist(),
+        np.asarray(end_value, dtype=np.float64).tolist(),
+    )
+    return [HittingSample(r, h, t, horizon, v, base_seed) for r, h, t, v in columns]
 
 
 @dataclass(frozen=True)

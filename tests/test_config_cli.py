@@ -30,7 +30,7 @@ from hklab.output import (
     write_samples,
 )
 from hklab.presets import PRESET_NAMES, preset, preset_variants, scaled_preset
-from hklab.walks import WalkSpec, first_passage_below
+from hklab.walks import HittingSample, WalkSpec, first_passage_below
 
 MINIMAL_HK = {
     "scenario": "hk",
@@ -240,6 +240,27 @@ def test_sample_file_roundtrip_exact(tmp_path):
             assert row["t_hit_or_horizon"] == s.t_end
             assert row["censored"] == (not s.hit)
             assert row["d_v_end"] == s.end_value  # repr round-trip is exact
+
+
+def test_sample_file_exact_bytes(tmp_path):
+    # Native and numpy field types, a censored row and an infinite end
+    # value all format the same way: ints in decimal, floats by repr.
+    samples = [
+        HittingSample(0, True, 7, 100, 0.1, 5),
+        HittingSample(np.int64(1), np.bool_(False), np.int64(100), 100, np.float64(0.1 + 0.2), 5),
+        HittingSample(2, False, 50, 50, np.inf, 5),
+        HittingSample(np.int64(3), np.bool_(True), np.int64(0), 100, np.float64(1e-5), 5),
+    ]
+    path = tmp_path / "samples.csv"
+    write_samples(path, samples, "ab12")
+    assert path.read_bytes() == (
+        b"# config_fingerprint=ab12\n"
+        b"run_index,hit,t_hit_or_horizon,censored,d_v_end\n"
+        b"0,1,7,0,0.1\n"
+        b"1,0,100,1,0.30000000000000004\n"
+        b"2,0,50,1,inf\n"
+        b"3,1,0,0,1e-05\n"
+    )
 
 
 def test_read_samples_rejects_untagged(tmp_path):

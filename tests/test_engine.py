@@ -82,13 +82,17 @@ def test_t_end_property():
 
 def test_batch_matches_solo_runs_bitwise():
     # Per-run noise streams are keyed by run index, so batching must not
-    # change any outcome.
-    cfg = _bounded_cfg()
+    # change any outcome.  With n = 10 a neighbor sum has enough terms for
+    # numpy's pairwise summation to differ from ascending order, so a
+    # kernel whose order depended on the run count would split batch from
+    # solo there.
     horizon = 2000
-    batch = run_batch(cfg, 7, np.arange(8), horizon)
-    for i in range(8):
-        solo = run_batch(cfg, 7, [i], horizon)
-        assert _sample_tuple(solo.samples[0]) == _sample_tuple(batch.samples[i])
+    for cfg in (_bounded_cfg(), _bounded_cfg(n=10, d=1), _bounded_cfg(n=10, d=3)):
+        batch = run_batch(cfg, 7, np.arange(8), horizon, extra_after_hit=20)
+        for i in range(8):
+            solo = run_batch(cfg, 7, [i], horizon, extra_after_hit=20)
+            assert _sample_tuple(solo.samples[0]) == _sample_tuple(batch.samples[i])
+            assert solo.absorb_ok[0] == batch.absorb_ok[i]
 
 
 def test_run_slicing_invariance(monkeypatch):
@@ -139,10 +143,12 @@ def test_indexed_path_matches_lockstep_bitwise(monkeypatch):
 
 
 def test_hk_step_replays_lockstep_snapshots_bitwise():
-    # Non-dyadic states in d = 3: the lockstep batch and hk_step share one
-    # distance expression and one neighbor-sum order, so replaying the
-    # run's own noise draws through hk_step reproduces every snapshot.
-    cfg = ModelConfig(
+    # Non-dyadic states in d = 3 and in d = 1 with ten agents (where
+    # matmul would have summed by BLAS gemv): the lockstep batch and
+    # hk_step share one distance expression and one neighbor-sum order,
+    # so replaying the run's own noise draws through hk_step reproduces
+    # every snapshot.
+    d3 = ModelConfig(
         n=8,
         d=3,
         epsilon=0.8,
@@ -150,16 +156,20 @@ def test_hk_step_replays_lockstep_snapshots_bitwise():
         noise=NoiseSpec("uniform_ball", 0.4),
         initial=InitialCondition("uniform_box", seed=4),
     )
-    sample, rec = run_trajectory(cfg, horizon=1000, base_seed=17, run_index=1, snapshot_stride=1)
-    steps = sample.t_end
-    assert sample.hit and steps > 100
-    np.testing.assert_array_equal(rec.snapshot_times, np.arange(steps + 1))
-    xi = noise_block(cfg.noise, run_keys(17, [1]), np.arange(1, steps + 1), cfg.n, cfg.d)[0]
-    x = cfg.initial.build(cfg.n, cfg.d, cfg.epsilon)
-    np.testing.assert_array_equal(rec.snapshots[0], x)
-    for t in range(1, steps + 1):
-        x = hk_step(x, xi[t - 1], cfg.epsilon, cfg.space_mode)
-        np.testing.assert_array_equal(rec.snapshots[t], x)
+    for cfg, run_index, min_steps in ((d3, 1, 100), (_bounded_cfg(n=10, d=1), 2, 50)):
+        sample, rec = run_trajectory(
+            cfg, horizon=1000, base_seed=17, run_index=run_index, snapshot_stride=1
+        )
+        steps = sample.t_end
+        assert sample.hit and steps > min_steps
+        np.testing.assert_array_equal(rec.snapshot_times, np.arange(steps + 1))
+        keys = run_keys(17, [run_index])
+        xi = noise_block(cfg.noise, keys, np.arange(1, steps + 1), cfg.n, cfg.d)[0]
+        x = cfg.initial.build(cfg.n, cfg.d, cfg.epsilon)
+        np.testing.assert_array_equal(rec.snapshots[0], x)
+        for t in range(1, steps + 1):
+            x = hk_step(x, xi[t - 1], cfg.epsilon, cfg.space_mode)
+            np.testing.assert_array_equal(rec.snapshots[t], x)
 
 
 def test_translated_start_gives_same_stopping_times():

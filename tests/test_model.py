@@ -16,6 +16,7 @@ from hklab.model import (
     max_pairwise_distance,
     neighbor_set,
     pairwise_sq_dists,
+    runs_last_sums,
     sq_norm_last,
     validate_model_config,
 )
@@ -119,6 +120,37 @@ def test_pairwise_sq_dists_consistency(x):
     for c in rows[0] - rows[-1]:
         in_order += c * c
     assert d2.reshape(-1, *d2.shape[-2:])[0, 0, -1] == in_order
+
+
+@given(
+    st.sampled_from([1, 2, 37]),
+    st.sampled_from([2, 8, 9, 64, 128]),
+    st.integers(1, 3),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.05, 2.0),
+    st.floats(-1e3, 1e3),
+)
+@settings(max_examples=60, deadline=None)
+def test_runs_last_sums_add_neighbors_in_ascending_order(a, n, d, seed, epsilon, shift):
+    # Non-dyadic states, so every addition rounds and any other order of
+    # the neighbor terms would show.  The reference adds agent j's row
+    # for j = 0, 1, ..., n-1 into one accumulator; numpy's pairwise sum
+    # over a contiguous axis, or a BLAS matmul, would not match it.
+    x = np.random.default_rng(seed).uniform(-1.0, 1.0, (n, d, a)) + shift
+    # Distances as the lockstep batch forms them: into given runs-last
+    # buffers through (A, n, d) and (A, n, n) views.  Per run they equal
+    # the plain call, which allocates its own result.
+    d2, tmp = np.empty((n, n, a)), np.empty((n, n, a))
+    pairwise_sq_dists(x.transpose(2, 0, 1), out=d2.transpose(2, 0, 1), tmp=tmp.transpose(2, 0, 1))
+    for r in range(a):
+        np.testing.assert_array_equal(d2[:, :, r], pairwise_sq_dists(x[:, :, r]))
+    adj = d2 <= epsilon * epsilon
+    ref = np.zeros((n, d, a))
+    for j in range(n):
+        ref = ref + np.where(adj[j][:, None, :], x[j][None], 0.0)
+    sums, deg = runs_last_sums(x, d2.copy(), epsilon)
+    np.testing.assert_array_equal(sums, ref)
+    np.testing.assert_array_equal(deg, adj.sum(axis=0))
 
 
 @given(finite_states)
