@@ -153,26 +153,28 @@ class _Section:
 
 
 def _read_noise(
-    sec: _Section, problems: list[str], top_delta, prefix: str
+    sec: _Section, problems: list[str], top_delta, default: NoiseSpec | None = None
 ) -> NoiseSpec | None:
-    """Noise from a nested section, honoring the top-level delta shorthand."""
-    family = DEFAULT_NOISE_FAMILY
+    """Noise from a nested section, honoring the top-level delta shorthand.
+
+    default gives the family and delta of keys left out (a walk step);
+    without it the family is DEFAULT_NOISE_FAMILY and delta is required.
+    """
+    family = default.family if default else DEFAULT_NOISE_FAMILY
     delta = None
     symmetric = False
     if sec is not None:
-        family = sec.text("family", DEFAULT_NOISE_FAMILY)
+        family = sec.text("family", family)
         delta = sec.number("delta")
         symmetric = sec.flag("requires_symmetry")
         sec.reject_unknown()
         if delta is not None and top_delta is not None:
-            problems.append(
-                f"{prefix}delta and {prefix}noise.delta both set; keep exactly one"
-            )
+            problems.append("delta and noise.delta both set; keep exactly one")
             return None
     if delta is None:
-        delta = top_delta
+        delta = top_delta if default is None else default.delta
     if delta is None:
-        problems.append(f"{prefix}noise.delta: required key is missing")
+        problems.append("noise.delta: required key is missing")
         return None
     return NoiseSpec(family=family, delta=float(delta), requires_symmetry=symmetric)
 
@@ -260,7 +262,7 @@ def _read_hk(root: _Section, problems: list[str]) -> ModelConfig | None:
     epsilon = root.number("epsilon", required=True)
     space_mode = root.text("space_mode", required=True)
     top_delta = root.number("delta")
-    noise = _read_noise(root.section("noise"), problems, top_delta, "")
+    noise = _read_noise(root.section("noise"), problems, top_delta)
     initial = _read_initial(root.section("initial"), problems)
     allow_large = root.flag("allow_large_delta")
     if None in (n, d, epsilon, space_mode) or noise is None:
@@ -305,7 +307,7 @@ def _read_projected(root: _Section, problems: list[str]) -> ProjectedSystemSpec 
     r0 = root.number("r0", required=True)
     mp = _read_map(root.section("map"), problems)
     top_delta = root.number("delta")
-    noise = _read_noise(root.section("noise"), problems, top_delta, "")
+    noise = _read_noise(root.section("noise"), problems, top_delta)
     start = root.take("start", ())
     try:
         start = tuple(float(v) for v in start)
@@ -326,13 +328,7 @@ def _read_walk(root: _Section, problems: list[str]):
     if kind not in WALK_KINDS:
         problems.append(f"kind: unknown walk kind {kind!r}; options are {WALK_KINDS}")
         kind = "first_passage"
-    noise_sec = root.section("noise")
-    noise = SIMPLE_STEP
-    if noise_sec is not None:
-        family = noise_sec.text("family", SIMPLE_STEP.family)
-        delta = noise_sec.number("delta", SIMPLE_STEP.delta)
-        noise_sec.reject_unknown()
-        noise = NoiseSpec(family=family, delta=float(delta))
+    noise = _read_noise(root.section("noise"), problems, None, default=SIMPLE_STEP)
     threshold = root.number("threshold", 0.0)
     ball_radius = root.number("ball_radius", 1.0)
     spec = None

@@ -7,12 +7,15 @@ explicit censoring flag, and d_V at that step as end_value.  It can
 optionally keep stepping past the hit to audit that the condition is
 absorbing when delta <= epsilon / 2.
 
-Ensembles are advanced in lockstep: one runs-last (n, d, A) tensor holds
-all still-active runs and retired runs are compacted away.  Because
-every noise draw is a pure function of (base_seed, run_index, t, agent),
-and every per-run reduction has a fixed order (the model's lockstep
-kernel adds neighbors in ascending agent order), a run's trajectory is
-bit-identical no matter which other runs share the batch.
+One chunked loop advances every batch: noise, hit, deadline, audit and
+horizon bookkeeping, recorder, magnitude guard and compaction.  Only a
+step's two calls (neighbor sums, d_V) differ with n, as two kernels:
+_Lockstep (n <= _LOCKSTEP_MAX_N) holds all live runs in one runs-last
+(n, d, A) tensor and adds neighbors in ascending agent order; _Indexed
+steps one run, one draw at a time, through a NeighborIndex built each
+step.  Every noise draw is a pure function of (base_seed, run_index, t,
+agent) and every per-run reduction has a fixed order, so a run's
+trajectory is bit-identical no matter which other runs share the batch.
 """
 
 from __future__ import annotations
@@ -25,12 +28,11 @@ from .model import (
     BOX_HI,
     BOX_LO,
     ModelConfig,
-    hk_step,
     pairwise_sq_dists,
     runs_last_sums,
     sq_norm_last,
 )
-from .neighbors import NeighborIndex, max_sq_dist, resolve_mode
+from .neighbors import NeighborIndex, max_sq_dist
 from .noise import noise_block, uniforms_per_draw
 from .prng import run_keys
 from .walks import HittingSample, _chunk_steps, _samples
@@ -118,6 +120,71 @@ class _Recorder:
         )
 
 
+class _Lockstep:
+    """Step kernel of n <= _LOCKSTEP_MAX_N: all live runs in one batch.
+
+    Distances go into a runs-last (n, n, A) buffer through its (A, n, n)
+    view, and a step's neighbor sums take their adjacency from the
+    previous step's distances there.  Its d_V is always exact.
+    """
+
+    def __init__(self, cfg: ModelConfig, a: int):
+        n = cfg.n
+        self.epsilon = cfg.epsilon
+        self.d2, self.prod, self.deg = np.empty((n, n, a)), np.empty((n, n, a)), np.empty((n, a))
+
+    def compact(self, keep) -> None:
+        self.d2 = self.d2[:, :, keep]
+        n, _, a = self.d2.shape
+        self.prod, self.deg = np.empty((n, n, a)), np.empty((n, a))
+
+    def sq_dv(self, states: np.ndarray, exact: bool) -> np.ndarray:
+        runs = (2, 0, 1)
+        out, tmp = self.d2.transpose(runs), self.prod.transpose(runs)
+        pairwise_sq_dists(states.transpose(runs), out=out, tmp=tmp)
+        return self.d2.max(axis=(0, 1))
+
+    def sums(self, states: np.ndarray, out: np.ndarray):
+        return runs_last_sums(states, self.d2, self.epsilon, out=out, prod=self.prod, deg=self.deg)
+
+
+class _Indexed:
+    """Step kernel of n > _LOCKSTEP_MAX_N: one run, neighbors from an index.
+
+    Each step builds a NeighborIndex (grid or brute, as "auto" picks)
+    over the current states; its sums add by BLAS matmul in cell order.
+    A one-run batch never compacts.
+    """
+
+    def __init__(self, cfg: ModelConfig, a: int):
+        self.epsilon = cfg.epsilon
+        self.eps2 = cfg.epsilon * cfg.epsilon
+
+    def sq_dv(self, states: np.ndarray, exact: bool) -> np.ndarray:
+        """d_V^2, or NaN where an O(n d) prune shows d_V > epsilon.
+
+        If some coordinate range alone exceeds epsilon the pair
+        realizing it is at least that far apart, so the run cannot be
+        synchronized.  The prune's square is the very term
+        pairwise_sq_dists adds for that pair, and adding nonnegative
+        terms never rounds below one of them, so it never contradicts
+        the exact maximum.  Only near-synchronized states, and states
+        whose exact d_V is asked for, reach neighbors.max_sq_dist.
+        """
+        x = states[:, :, 0]
+        rng = x.max(axis=0) - x.min(axis=0)
+        if not exact and np.max(rng * rng) > self.eps2:
+            return np.array([np.nan])
+        return np.array([max_sq_dist(x)])
+
+    def sums(self, states: np.ndarray, out: np.ndarray):
+        # NeighborIndex is read from this module at call time, so it can
+        # be rebound from outside (hkbench/tracing.py does).
+        sums, deg = NeighborIndex(states[:, :, 0], self.epsilon).neighbor_sums()
+        out[:, :, 0] = sums
+        return out, deg[:, None]
+
+
 def run_batch(
     cfg: ModelConfig,
     base_seed: int,
@@ -142,49 +209,37 @@ def run_batch(
     if a0 == 0:
         return BatchResult(samples=[])
     n, d = cfg.n, cfg.d
+    indexed = n > _LOCKSTEP_MAX_N
+    # Indexed runs go one per batch.  Their noise is drawn one step at a
+    # time: a grid step costs far more than its draw, and longer chunks
+    # would only hold more noise in memory.
+    run_slice, chunk_cap = (1, 1) if indexed else (_RUN_SLICE, _CHUNK_STEPS)
+
+    if a0 > run_slice:
+        parts = [
+            run_batch(
+                cfg, base_seed, run_indices[lo : lo + run_slice], horizon, extra_after_hit, guard=guard
+            )
+            for lo in range(0, a0, run_slice)
+        ]
+        return BatchResult(
+            samples=[s for part in parts for s in part.samples],
+            absorb_ok=np.concatenate([p.absorb_ok for p in parts]) if extra_after_hit else None,
+        )
+
     eps2 = cfg.epsilon * cfg.epsilon
     bounded = cfg.space_mode == "bounded"
     recorder = None
     if (record_stride or snapshot_stride) and a0 == 1:
         recorder = _Recorder(cfg, record_stride, snapshot_stride)
 
-    x0 = cfg.initial.build(n, d, cfg.epsilon)
-    use_lockstep = n <= _LOCKSTEP_MAX_N
-    if not use_lockstep:
-        outcomes = [
-            _run_single_large(cfg, base_seed, int(r), horizon, extra_after_hit, recorder, guard)
-            for r in run_indices
-        ]
-        hit, t_hit, d_v, absorb = (np.array(col) for col in zip(*outcomes))
-        return BatchResult(
-            samples=_samples(run_indices, hit, t_hit, d_v, horizon, base_seed),
-            absorb_ok=absorb if extra_after_hit else None,
-            record=recorder.build() if recorder else None,
-        )
-
-    if a0 > _RUN_SLICE:
-        samples = []
-        absorbs = []
-        for lo in range(0, a0, _RUN_SLICE):
-            part = run_batch(
-                cfg,
-                base_seed,
-                run_indices[lo : lo + _RUN_SLICE],
-                horizon,
-                extra_after_hit=extra_after_hit,
-                guard=guard,
-            )
-            samples.extend(part.samples)
-            if part.absorb_ok is not None:
-                absorbs.append(part.absorb_ok)
-        absorb = np.concatenate(absorbs) if absorbs else None
-        return BatchResult(samples=samples, absorb_ok=absorb, record=None)
-
     keys = run_keys(base_seed, run_indices)
     # Runs on the last axis: every elementwise op and every reduction of
-    # the step runs over the contiguous run axis.  The workspace is d2
-    # (distances, then adjacency), prod, deg and new.
+    # the step runs over the contiguous run axis.
+    x0 = cfg.initial.build(n, d, cfg.epsilon)
     states = np.repeat(x0[:, :, None], a0, axis=2)
+    new = np.empty(states.shape)
+    kernel = (_Indexed if indexed else _Lockstep)(cfg, a0)
 
     hit_all = np.zeros(a0, dtype=bool)
     t_hit_all = np.full(a0, horizon, dtype=np.int64)
@@ -192,18 +247,7 @@ def run_batch(
     absorb_all = np.ones(a0, dtype=bool)
 
     live = np.arange(a0)
-    a = a0
-    d2, prod = np.empty((n, n, a)), np.empty((n, n, a))
-    deg, new = np.empty((n, a)), np.empty((n, d, a))
-
-    def sq_dists():
-        # Distances of the live runs into d2, through the (A, n, d) and
-        # (A, n, n) views of the runs-last buffers.
-        runs = (2, 0, 1)
-        pairwise_sq_dists(states.transpose(runs), out=d2.transpose(runs), tmp=prod.transpose(runs))
-
-    sq_dists()
-    dv2 = d2.max(axis=(0, 1))
+    dv2 = kernel.sq_dv(states, exact=False)
     hit0 = dv2 <= eps2
     hit_all[hit0] = True
     t_hit_all[hit0] = 0
@@ -216,17 +260,18 @@ def run_batch(
     t = 0
     while True:
         keep = deadline > t
+        if not keep.any():
+            break
         if not keep.all():
             states = states[:, :, keep]
-            d2 = d2[:, :, keep]
             deadline = deadline[keep]
             live = live[keep]
             keys = keys[keep]
-            a = live.shape[0]
-            prod, deg, new = np.empty((n, n, a)), np.empty((n, a)), np.empty((n, d, a))
-        if a == 0:
-            break
-        b = min(_CHUNK_STEPS, _chunk_steps(a, n, w, int(deadline.max()) - t))
+            kernel.compact(keep)
+            # C order, unlike the compacted states (runs first); the next
+            # swap makes states runs-last again.
+            new = np.empty(states.shape)
+        b = min(chunk_cap, _chunk_steps(live.shape[0], n, w, int(deadline.max()) - t))
         ts = np.arange(t + 1, t + b + 1, dtype=np.int64)
         # (B, n, d, A) view of the (A, B, n, d) draws; no copy is made.
         xi = noise_block(cfg.noise, keys, ts, n, d).transpose(1, 2, 3, 0)
@@ -234,8 +279,7 @@ def run_batch(
         for k in range(b):
             tk = t + k + 1
             running = tk <= deadline
-            # Adjacency comes from the previous step's distances in d2.
-            runs_last_sums(states, d2, cfg.epsilon, out=new, prod=prod, deg=deg)
+            new, deg = kernel.sums(states, new)
             new /= deg[:, None]
             new += xi[k]
             if bounded:
@@ -244,8 +288,8 @@ def run_batch(
                 states, new = new, states
             else:
                 states = np.where(running, new, states)
-            sq_dists()
-            dv2 = d2.max(axis=(0, 1))
+            # A run censored at the horizon needs its exact d_V there.
+            dv2 = kernel.sq_dv(states, exact=tk == horizon and not hit_live.all())
             synced = dv2 <= eps2
             newly = running & ~hit_live & synced
             if newly.any():
@@ -278,72 +322,6 @@ def run_batch(
         absorb_ok=absorb_all if extra_after_hit else None,
         record=recorder.build() if recorder else None,
     )
-
-
-def _dv2_large(states: np.ndarray, eps2: float):
-    """(is_hit, dv2_or_None) with an O(n d) prune before the O(n^2) scan.
-
-    If some coordinate range alone exceeds epsilon the pair realizing
-    it is at least that far apart, so the run cannot be synchronized.
-    The prune's square is the very term pairwise_sq_dists adds for that
-    pair, and adding nonnegative terms never rounds below one of them,
-    so it never contradicts the exact maximum.  Only near-synchronized
-    snapshots reach neighbors.max_sq_dist, which scans just the rows
-    whose distance to the far corner of the bounding box could exceed
-    the best distance found so far.
-    """
-    lo = states.min(axis=0)
-    hi = states.max(axis=0)
-    rng = hi - lo
-    if np.max(rng * rng) > eps2:
-        return False, None
-    d2max = max_sq_dist(states)
-    return d2max <= eps2, d2max
-
-
-def _run_single_large(cfg, base_seed, run_index, horizon, extra_after_hit, recorder, guard):
-    """Per-step grid-indexed path for systems too large to batch.
-
-    Returns (hit, t_hit, d_V at t_hit, absorb_ok) of the one run.
-    """
-    n, d = cfg.n, cfg.d
-    eps2 = cfg.epsilon * cfg.epsilon
-    mode = resolve_mode("auto", n, d)
-    states = cfg.initial.build(n, d, cfg.epsilon)
-    key = run_keys(base_seed, [run_index])
-
-    hit, t_hit, dve = False, horizon, np.nan
-    synced, d2m = _dv2_large(states, eps2)
-    if synced:
-        hit, t_hit, dve = True, 0, float(np.sqrt(d2m))
-    deadline = extra_after_hit if synced else horizon
-    if recorder:
-        recorder.observe(0, states, d2m if d2m is not None else np.nan, final=deadline == 0)
-    absorb_ok = True
-    t = 0
-    while t < deadline:
-        t += 1
-        xi = noise_block(cfg.noise, key, [t], n, d)[0, 0]
-        index = NeighborIndex(states, cfg.epsilon, mode=mode)
-        states = hk_step(states, xi, cfg.epsilon, cfg.space_mode, index=index)
-        if cfg.space_mode == "unbounded" and np.abs(states).max() > guard:
-            raise RuntimeError(
-                f"state magnitude exceeded guard {guard:g} at t={t} "
-                f"(run_index={run_index}); aborting"
-            )
-        synced, d2m = _dv2_large(states, eps2)
-        if not hit and synced:
-            hit, t_hit, dve = True, t, float(np.sqrt(d2m))
-            deadline = t + extra_after_hit
-        elif hit and not synced:
-            absorb_ok = False
-        if not hit and t == horizon:
-            if d2m is None:
-                d2m = max_sq_dist(states)
-            dve = float(np.sqrt(d2m))
-        if recorder:
-            recorder.observe(t, states, d2m if d2m is not None else np.nan, final=t == deadline)
-    return hit, t_hit, dve, absorb_ok
 
 
 def run_trajectory(

@@ -13,14 +13,14 @@ reach the same threshold decisions, and all paths reach bit-identical
 accept/reject decisions.
 
 The lockstep kernel (pairwise_sq_dists on runs-last views, then
-runs_last_sums) serves the batched engine, hk_step without an index
-(one run) and the projected hk_mean map.  It holds runs on the last
-axis, (n, d, A), and adds each agent's neighbor rows in ascending agent
+runs_last_sums) serves the engine's lockstep batches, hk_step (one run)
+and the projected hk_mean map.  It holds runs on the last axis,
+(n, d, A), and adds each agent's neighbor rows in ascending agent
 order, whatever BLAS numpy is linked against, so a run's sums do not
-depend on how many runs share the batch.  The per-run indexed path (neighbors.NeighborIndex, n > 128
-in the engine) sums by BLAS matmul in cell order instead; it agrees
-with the lockstep kernel bitwise only where the arithmetic is exact
-(dyadic states).
+depend on how many runs share the batch.  The engine's indexed kernel
+(neighbors.NeighborIndex, n > 128) sums by BLAS matmul in cell order
+instead; it agrees with the lockstep kernel bitwise only where the
+arithmetic is exact (dyadic states).
 """
 
 from __future__ import annotations
@@ -150,16 +150,12 @@ def hk_step(
     noise: np.ndarray,
     epsilon: float,
     space_mode: str = "bounded",
-    index=None,
 ) -> np.ndarray:
     """One synchronous update: neighbor means, plus noise, then clamp.
 
     The neighbor mean is formed by summing neighbor rows and dividing
-    once by the neighbor count.  Without ``index`` the sums come from
-    the lockstep kernel with one run, so the step replays a lockstep
-    run bit for bit.  With ``index`` a prebuilt grid over the *current*
-    states, neighbor sums come from cell candidates in BLAS order; the
-    accept/reject comparison is identical either way.
+    once by the neighbor count.  The sums come from the lockstep kernel
+    with one run, so the step replays a lockstep run bit for bit.
     """
     states = np.asarray(states, dtype=np.float64)
     noise = np.asarray(noise, dtype=np.float64)
@@ -167,13 +163,9 @@ def hk_step(
         raise ValueError(f"noise shape {noise.shape} != states shape {states.shape}")
     if space_mode not in SPACE_MODES:
         raise ValueError(f"unknown space_mode: {space_mode!r}")
-    if index is not None:
-        sums, deg = index.neighbor_sums(epsilon)
-    else:
-        d2 = pairwise_sq_dists(states)[:, :, None]
-        sums, deg = runs_last_sums(states[:, :, None], d2, epsilon)
-        sums, deg = sums[:, :, 0], deg[:, 0]
-    out = sums / deg[:, None] + noise
+    d2 = pairwise_sq_dists(states)[:, :, None]
+    sums, deg = runs_last_sums(states[:, :, None], d2, epsilon)
+    out = sums[:, :, 0] / deg[:, 0, None] + noise
     if space_mode == "bounded":
         out = clamp_to_box(out)
     return out

@@ -134,7 +134,7 @@ class NeighborIndex:
         cand = np.concatenate([self._order[a:b] for a, b in self._near(self._cells[i])])
         return np.sort(cand[pairwise_sq_dists(row, self.states[cand])[0] <= eps2])
 
-    def neighbor_sums(self, epsilon: float | None = None):
+    def neighbor_sums(self):
         """Per-agent neighbor row sums and neighbor counts.
 
         Returns (sums (n, d), deg (n,)).  Both modes sum by BLAS
@@ -143,8 +143,6 @@ class NeighborIndex:
         does.
         """
         self._check_fresh()
-        if epsilon is not None and epsilon != self.epsilon:
-            raise ValueError("index was built for a different epsilon")
         x, eps = self.states, self.epsilon
         sums = np.empty((self.n, self.d), dtype=np.float64)
         deg = np.empty(self.n, dtype=np.float64)

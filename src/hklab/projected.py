@@ -33,9 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import pairwise_sq_dists, runs_last_sums, sq_norm_last
-from .noise import NoiseSpec, uniforms_per_draw, validate_noise_spec
+from .noise import NoiseSpec, validate_noise_spec
 from .prng import run_keys, uniforms_for_step
-from .walks import HittingSample, _censored_hitting, _chunk_steps, _step_each, _steps_block
+from .walks import HittingSample, _censored_hitting, _noise_chunks, _step_each
 
 MAP_FAMILIES = ("identity", "linear_scale", "target_stretch", "hk_mean")
 
@@ -229,15 +229,10 @@ def trajectory(
     out = np.empty((horizon + 1, spec.dim), dtype=np.float64)
     out[0] = spec.start_point()
     s = out[0][None, :].copy()
-    w = uniforms_per_draw(spec.noise.family, spec.dim)
-    t0 = 0
-    while t0 < horizon:
-        nsteps = _chunk_steps(1, 1, w, horizon - t0)
-        xi = _steps_block(spec.noise, keys, t0, nsteps, 1, spec.dim)[:, :, 0, :]
-        for k in range(nsteps):
-            s = projected_step(s, spec, xi[0, k][None, :])
+    for t0, xi in _noise_chunks(spec.noise, keys, 0, horizon, 1, spec.dim):
+        for k in range(xi.shape[1]):
+            s = projected_step(s, spec, xi[0, k])
             out[t0 + k + 1] = s[0]
-        t0 += nsteps
     return out
 
 

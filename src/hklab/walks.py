@@ -23,6 +23,8 @@ the HK runs of the engine included.  The oracles here and the
 projected recursion's T_D share one chunked loop, _censored_hitting:
 each supplies only its per-chunk step math, and the loop owns the
 keys, the chunking, the compaction of stopped runs and the bookkeeping.
+Loops over a fixed set of runs (recurrence profiles, gap paths and
+endpoints, projected trajectories) take their chunks from _noise_chunks.
 """
 
 from __future__ import annotations
@@ -159,6 +161,19 @@ def _chunk_steps(active: int, n: int, w: int, remaining: int) -> int:
 def _steps_block(step: NoiseSpec, keys, t0: int, nsteps: int, n: int, d: int):
     ts = np.arange(t0 + 1, t0 + nsteps + 1, dtype=np.uint64)
     return noise_block(step, keys, ts, n, d)
+
+
+def _noise_chunks(spec: NoiseSpec, keys, t0: int, t1: int, n: int, dim: int):
+    """Noise of steps t0+1..t1 for every key, in chunks sized by _chunk_steps.
+
+    Yields (t, xi): xi has shape (A, B, n, dim) and holds steps t+1..t+B.
+    """
+    w = uniforms_per_draw(spec.family, dim)
+    t = t0
+    while t < t1:
+        nsteps = _chunk_steps(keys.shape[0], n, w, t1 - t)
+        yield t, _steps_block(spec, keys, t, nsteps, n, dim)
+        t += nsteps
 
 
 def _first_hit(hits: np.ndarray, stat: np.ndarray):
@@ -344,7 +359,6 @@ def recurrence_profile(
     runs = run_indices.shape[0]
     keys = run_keys(base_seed, run_indices)
     d = spec.dim
-    w = uniforms_per_draw(spec.step.family, d)
     r2 = ball_radius * ball_radius
 
     u = np.broadcast_to(spec.start_point(), (runs, d)).copy()
@@ -355,13 +369,11 @@ def recurrence_profile(
 
     t0 = 0
     for hk, h in enumerate(horizons):
-        while t0 < h:
-            nsteps = _chunk_steps(runs, 1, w, int(h) - t0)
-            xi = _steps_block(spec.step, keys, t0, nsteps, 1, d)[:, :, 0, :]
-            path = u[:, None, :] + np.cumsum(xi, axis=1)
+        for _, xi in _noise_chunks(spec.step, keys, t0, int(h), 1, d):
+            path = u[:, None, :] + np.cumsum(xi[:, :, 0, :], axis=1)
             counts += (sq_norm_last(path) <= r2).sum(axis=1)
             u = path[:, -1, :]
-            t0 += nsteps
+        t0 = int(h)
         visits[:, hk] = counts
         end_norm[hk] = (
             float(np.mean(np.sqrt(sq_norm_last(u)))) / np.sqrt(h) if h > 0 else np.nan
@@ -457,13 +469,8 @@ def cluster_gap_path(
     keys = run_keys(base_seed, np.asarray([run_index], dtype=np.int64))
     n = spec.n1 + spec.n2
     y = np.zeros((horizon, spec.dim), dtype=np.float64)
-    w = uniforms_per_draw(spec.noise.family, spec.dim)
-    t0 = 0
-    while t0 < horizon:
-        nsteps = _chunk_steps(1, n, w, horizon - t0)
-        xi = _steps_block(spec.noise, keys, t0, nsteps, n, spec.dim)
-        y[t0 : t0 + nsteps] = _cluster_y(xi, spec.n1)[0]
-        t0 += nsteps
+    for t0, xi in _noise_chunks(spec.noise, keys, 0, horizon, n, spec.dim):
+        y[t0 : t0 + xi.shape[1]] = _cluster_y(xi, spec.n1)[0]
     z = np.vstack([np.zeros((1, spec.dim)), np.cumsum(y, axis=0)])
     return y, z
 
@@ -481,12 +488,7 @@ def cluster_gap_endpoints(
     run_indices = np.asarray(run_indices, dtype=np.int64)
     keys = run_keys(base_seed, run_indices)
     n = spec.n1 + spec.n2
-    w = uniforms_per_draw(spec.noise.family, spec.dim)
     z = np.zeros((run_indices.shape[0], spec.dim), dtype=np.float64)
-    t0 = 0
-    while t0 < t:
-        nsteps = _chunk_steps(run_indices.shape[0], n, w, t - t0)
-        xi = _steps_block(spec.noise, keys, t0, nsteps, n, spec.dim)
+    for _, xi in _noise_chunks(spec.noise, keys, 0, t, n, spec.dim):
         z += _cluster_y(xi, spec.n1).sum(axis=1)
-        t0 += nsteps
     return z

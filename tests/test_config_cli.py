@@ -30,7 +30,13 @@ from hklab.output import (
     write_samples,
 )
 from hklab.presets import PRESET_NAMES, preset, preset_variants, scaled_preset
-from hklab.walks import HittingSample, WalkSpec, first_passage_below
+from hklab.walks import (
+    SIMPLE_STEP,
+    HittingSample,
+    StretchedWalkSpec,
+    WalkSpec,
+    first_passage_below,
+)
 
 MINIMAL_HK = {
     "scenario": "hk",
@@ -172,6 +178,29 @@ def test_all_presets_roundtrip_through_yaml():
             back = loads_config(text)
             assert config_to_dict(back) == config_to_dict(cfg), (name, variant)
             assert config_fingerprint(back) == config_fingerprint(cfg)
+
+
+def test_walk_noise_roundtrips_through_yaml():
+    # A walk step dumps every noise key, requires_symmetry included, and
+    # loading reads it back through the same reader as hk noise.
+    symmetric = NoiseSpec("uniform_cube", 0.5, requires_symmetry=True)
+    walks = (
+        ("first_passage", WalkSpec(dim=1, step=symmetric)),
+        ("recurrence", WalkSpec(dim=2, step=symmetric, start=(0.5, -0.5))),
+        ("stretched", StretchedWalkSpec(beta=1.5, bound_m=2.0, step=symmetric)),
+        ("first_passage", WalkSpec(dim=1)),
+    )
+    for kind, spec in walks:
+        cfg = ExperimentConfig(
+            scenario="walk", ensemble=EnsembleSettings(runs=4), walk=spec, walk_kind=kind
+        )
+        back = loads_config(dump_config(cfg))
+        assert back.walk == spec, kind
+        assert config_to_dict(back) == config_to_dict(cfg)
+    # Keys left out of a walk's noise section take the simple +-1 step's.
+    only_family = {"scenario": "walk", "dim": 1, "noise": {"family": "uniform_cube"}}
+    assert config_from_dict(only_family).walk.step == NoiseSpec("uniform_cube", 1.0)
+    assert config_from_dict({"scenario": "walk", "dim": 1}).walk.step == SIMPLE_STEP
 
 
 def test_fingerprint_sensitivity():

@@ -142,6 +142,56 @@ def test_indexed_path_matches_lockstep_bitwise(monkeypatch):
     np.testing.assert_array_equal(indexed.absorb_ok, lockstep.absorb_ok)
 
 
+def test_indexed_path_steps_each_run_to_its_deadline(monkeypatch):
+    # Every run on the indexed path builds one grid index per step.  A run
+    # steps to its deadline and no further: t_end, plus the audit window
+    # once it hit (some audits here run past the horizon).
+    builds = []
+
+    class CountingIndex(engine.NeighborIndex):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            builds.append(self.mode)
+
+    monkeypatch.setattr(engine, "_LOCKSTEP_MAX_N", 1)
+    monkeypatch.setattr(engine, "NeighborIndex", CountingIndex)
+    extra = 6
+    res = run_batch(_bounded_cfg(), 5, np.arange(12), 30, extra_after_hit=extra)
+    hit = [s.hit for s in res.samples]
+    assert 0 < sum(hit) < 12
+    assert any(s.hit and s.t_hit + extra > 30 for s in res.samples)
+    assert res.absorb_ok is not None
+    assert set(builds) == {"grid"}
+    assert len(builds) == sum(s.t_end + (extra if s.hit else 0) for s in res.samples)
+
+
+def test_indexed_trajectory_replays_lockstep_snapshots(monkeypatch):
+    # On a dyadic config the indexed kernel reproduces the lockstep
+    # snapshots bit for bit.  Its d_V series reads NaN where the
+    # coordinate-range prune settled d_V > epsilon and the lockstep value
+    # elsewhere: at a hit, through the audit, and at a censored horizon.
+    cfg = _dyadic_cfg()
+    cases = [(9, 0, 200), (801, 0, 100)]
+    kw = dict(extra_after_hit=5, record_stride=1, snapshot_stride=1)
+
+    def trajectories():
+        return [run_trajectory(cfg, h, base_seed=b, run_index=r, **kw) for b, r, h in cases]
+
+    lockstep = trajectories()
+    monkeypatch.setattr(engine, "_LOCKSTEP_MAX_N", 1)
+    indexed = trajectories()
+    assert [s.hit for s, _ in lockstep] == [True, False]
+    for (s_lock, rec_lock), (s_ind, rec_ind) in zip(lockstep, indexed):
+        assert _sample_tuple(s_ind) == _sample_tuple(s_lock)
+        np.testing.assert_array_equal(rec_ind.snapshot_times, rec_lock.snapshot_times)
+        np.testing.assert_array_equal(rec_ind.snapshots, rec_lock.snapshots)
+        np.testing.assert_array_equal(rec_ind.times, rec_lock.times)
+        known = ~np.isnan(rec_ind.d_v)
+        assert known[-1] and not known.all()
+        np.testing.assert_array_equal(rec_ind.d_v[known], rec_lock.d_v[known])
+        assert not np.isnan(rec_lock.d_v).any()
+
+
 def test_hk_step_replays_lockstep_snapshots_bitwise():
     # Non-dyadic states in d = 3 and in d = 1 with ten agents (where
     # matmul would have summed by BLAS gemv): the lockstep batch and

