@@ -134,7 +134,8 @@ class _Lockstep:
         self.d2, self.prod, self.deg = np.empty((n, n, a)), np.empty((n, n, a)), np.empty((n, a))
 
     def compact(self, keep) -> None:
-        self.d2 = self.d2[:, :, keep]
+        # Fancy indexing on the run axis returns runs-first; keep C order.
+        self.d2 = np.ascontiguousarray(self.d2[:, :, keep])
         n, _, a = self.d2.shape
         self.prod, self.deg = np.empty((n, n, a)), np.empty((n, a))
 

@@ -68,9 +68,9 @@ def pairwise_sq_dists(
     ``tmp`` is a scratch buffer of the result's shape for d >= 2.  A
     given buffer is filled with x[i] across j and y[j] subtracted in
     place: on the lockstep batch's cache-sized runs-last buffers numpy
-    runs that pair faster than one broadcasting subtraction.  Without a
-    buffer the subtraction allocates it, which costs less on the many
-    small blocks of the indexed path.
+    runs that pair faster than one broadcasting subtraction, and the
+    grid's blocks reuse one pair of buffers instead of allocating a
+    fresh result per block.  Without a buffer the subtraction allocates it.
     """
     xs = x[..., :, None, :]
     ys = (x if y is None else y)[..., None, :, :]

@@ -1,17 +1,17 @@
 """Fixed-radius neighbor queries: brute-force scan and uniform grid.
 
-The grid buckets agents into cells of side exactly epsilon (integer
-cell = floor(coordinate / epsilon)), so any neighbor of an agent lies
-in the 3^d surrounding cells.  Both modes take distances from the one
-expression model.pairwise_sq_dists, so they return bit-equal neighbor
-sets by construction.
-
-Neighbor sums are one BLAS matmul of the 0/1 adjacency with the
-candidate rows: brute over row blocks against all agents, grid over
-each cell's agents against its candidates in cell order.  BLAS picks
-its own addition order (gemv and gemm differ), so these sums agree
-with the lockstep kernel's ascending-order sums (model.runs_last_sums)
-bit for bit only on dyadic states, where every addition is exact.
+The grid sorts the agents by cell (side exactly epsilon, cell =
+floor(coordinate / epsilon)) and cuts each pencil, the agents sharing
+all but the last cell coordinate, into blocks of at most _BLOCK agents.
+A block's candidates, the agents of the 3^(d-1) pencils around its own
+within one cell of it on the last axis, are contiguous slices found by
+searching the cells as lexicographic byte keys, which cannot overflow.
+Both modes take distances from model.pairwise_sq_dists, so they return
+bit-equal neighbor sets, and sum by one BLAS matmul of the 0/1
+adjacency with the candidate rows (grid: per block, in cell order).
+BLAS picks its own addition order (gemv and gemm differ), so the sums
+agree with the lockstep kernel's ascending-order sums
+(model.runs_last_sums) bit for bit only on dyadic states.
 """
 
 from __future__ import annotations
@@ -30,15 +30,22 @@ _BRUTE_BLOCK_ELEMS = 4_000_000
 # Refuse explicit grid mode when the stencil itself is astronomically big.
 _MAX_STENCIL = 1 << 20
 
+# Cell-sorted agents per grid block (32-64 measured best at n = 10^4).
+_BLOCK = 48
 
-def _matmul_sums(d2, x, epsilon, out, deg):
-    """Neighbor sums (p, d) into out and counts (p,) into deg.
 
-    d2 (p, q) holds the distances from p agents to the q rows of x
-    (q, d); the sums are the matmul of the 0/1 adjacency with x.
-    """
-    adj = np.less_equal(d2, epsilon * epsilon, out=d2)
-    np.matmul(adj, x, out=out)
+def _rows(cells: np.ndarray) -> np.ndarray:
+    """Byte keys of int64 rows that order lexicographically (sign flipped, big-endian)."""
+    return (cells ^ np.int64(-(2**63))).astype(">i8").view(f"S{8 * cells.shape[-1]}")[..., 0]
+
+
+def _matmul_sums(x, y, epsilon, out, deg, bufs=None):
+    """Neighbor sums (p, d) into out and counts (p,) into deg of x's p rows among
+    y's q rows: 0/1 adjacency matmul y.  bufs (2, >= p q) can hold the distances."""
+    d2, tmp = (None, None) if bufs is None else bufs[:, : len(x) * len(y)].reshape(2, len(x), -1)
+    adj = pairwise_sq_dists(x, y, out=d2, tmp=tmp)
+    np.less_equal(adj, epsilon * epsilon, out=adj)
+    np.matmul(adj, y, out=out)
     adj.sum(axis=-1, out=deg)
 
 
@@ -101,28 +108,30 @@ class NeighborIndex:
             self._build_grid()
 
     def _build_grid(self) -> None:
-        self._stencil = np.array(list(itertools.product((-1, 0, 1), repeat=self.d)))
-        cells = np.floor(self.states / self.epsilon).astype(np.int64)
-        self._cells = cells
-        # lexsort is stable, so each cell's agents stay in ascending order
-        # and every occupied cell is one slice of the sorted agents.
+        cells = np.floor(self.states / self.epsilon)
+        if not np.all(np.abs(cells) < 2.0**62):
+            raise ValueError("grid cells outside +-2^62 (states / epsilon too large); use brute")
+        # lexsort is stable, so each cell's agents stay in ascending order.
         self._order = np.lexsort(cells.T[::-1])
-        sorted_cells = cells[self._order]
-        first = np.ones(self.n, dtype=bool)
-        first[1:] = np.any(sorted_cells[1:] != sorted_cells[:-1], axis=1)
-        starts = np.flatnonzero(first)
-        self._occupied = sorted_cells[starts]
-        spans = zip(starts.tolist(), np.append(starts[1:], self.n).tolist())
-        self._spans = dict(zip(map(tuple, self._occupied.tolist()), spans))
+        self._rank = np.argsort(self._order)
+        cells, at = cells[self._order].astype(np.int64), np.arange(self.n)
+        # Blocks start at each pencil's first agent and every _BLOCK after it.
+        new = np.r_[True, np.any(cells[1:, :-1] != cells[:-1, :-1], axis=1)][: self.n]
+        first = np.flatnonzero((at - np.maximum.accumulate(np.where(new, at, 0))) % _BLOCK == 0)
+        stop = np.append(first, self.n)[1:]
+        # Per pencil offset o, candidates run from cell lo + (o, -1) to cell hi + (o, 1).
+        near = list(itertools.product((-1, 0, 1), repeat=self.d - 1))
+        keys, lo, hi = _rows(cells), cells[first][:, None], cells[stop - 1][:, None]
+        starts = np.searchsorted(keys, _rows(lo + [(*o, -1) for o in near])).ravel()
+        stops = np.searchsorted(keys, _rows(hi + [(*o, 1) for o in near]), "right").ravel()
+        ends = np.cumsum(stops - starts)
+        self._cand = np.arange((stops - starts).sum()) - np.repeat(ends - stops, stops - starts)
+        self._first, bounds = first, np.append(0, ends[len(near) - 1 :: len(near)])
+        self._blocks = list(zip(*(v.tolist() for v in (first, stop, bounds[:-1], bounds[1:]))))
 
     def _check_fresh(self) -> None:
         if __debug__ and hash(self.states.tobytes()) != self._fingerprint:
             raise RuntimeError("stale NeighborIndex: states changed since build")
-
-    def _near(self, cell: np.ndarray) -> list:
-        """Sorted-order spans of the occupied cells around cell, in stencil order."""
-        keys = map(tuple, (self._stencil + cell).tolist())
-        return [span for span in map(self._spans.get, keys) if span is not None]
 
     def query(self, i: int) -> np.ndarray:
         """Ascending indices j with ||x_j - x_i|| <= epsilon (includes i)."""
@@ -131,7 +140,8 @@ class NeighborIndex:
         row = self.states[i : i + 1]
         if self.mode == "brute":
             return np.flatnonzero(pairwise_sq_dists(row, self.states)[0] <= eps2)
-        cand = np.concatenate([self._order[a:b] for a, b in self._near(self._cells[i])])
+        _, _, lo, hi = self._blocks[np.searchsorted(self._first, self._rank[i], "right") - 1]
+        cand = self._order[self._cand[lo:hi]]
         return np.sort(cand[pairwise_sq_dists(row, self.states[cand])[0] <= eps2])
 
     def neighbor_sums(self):
@@ -150,12 +160,12 @@ class NeighborIndex:
             block = max(1, _BRUTE_BLOCK_ELEMS // max(1, self.n))
             for a in range(0, self.n, block):
                 b = min(self.n, a + block)
-                _matmul_sums(pairwise_sq_dists(x[a:b], x), x, eps, sums[a:b], deg[a:b])
+                _matmul_sums(x[a:b], x, eps, sums[a:b], deg[a:b])
             return sums, deg
-        # Rows are filled in cell order, then put back in agent order.
-        xs = x[self._order]
-        for cell, (a, b) in zip(self._occupied, self._spans.values()):
-            cand = np.concatenate([xs[lo:hi] for lo, hi in self._near(cell)])
-            _matmul_sums(pairwise_sq_dists(xs[a:b], cand), cand, eps, sums[a:b], deg[a:b])
-        unsort = np.argsort(self._order)
-        return sums[unsort], deg[unsort]
+        # Planar (d, n) sorted coordinates; rows fill in cell order, then unsort.
+        xt = np.take(x.T, self._order, axis=1)
+        cand = xt[:, self._cand]
+        bufs = np.empty((2, max([(b - a) * (hi - lo) for a, b, lo, hi in self._blocks], default=0)))
+        for a, b, lo, hi in self._blocks:
+            _matmul_sums(xt[:, a:b].T, cand[:, lo:hi].T, eps, sums[a:b], deg[a:b], bufs)
+        return sums[self._rank], deg[self._rank]

@@ -344,7 +344,8 @@ def test_ac8_engineering(capsys):
 
     # (b) one grid step at n=1e4, d=2, eps=0.05 beats brute force 10x.
     pts = np.random.default_rng(7).uniform(-1.0, 1.0, size=(10_000, 2))
-    t_brute = _step_time(pts, 0.05, "brute")
+    # Both best of 3, so the heap state earlier tests left favours neither.
+    t_brute = min(_step_time(pts, 0.05, "brute") for _ in range(3))
     t_grid = min(_step_time(pts, 0.05, "grid") for _ in range(3))
     checks["grid step >= 10x faster at n=1e4"] = t_brute >= 10.0 * t_grid
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -46,6 +46,74 @@ def test_grid_matches_brute_negative_coordinates():
     # floor() cells must bucket negative coordinates consistently.
     states = np.array([[-0.5, -0.5], [-0.25, -0.25], [0.0, 0.0], [0.25, 0.25]])
     _assert_same_membership(states, 0.25)
+
+
+@st.composite
+def grid_cases(draw):
+    """(states, epsilon, dyadic) that stress the grid's blocks and ranges.
+
+    dyadic states make every sum exact, so the addition order is moot.
+    """
+    n = draw(st.integers(1, 60))
+    d = draw(st.integers(1, 4))
+    eps = draw(st.sampled_from([0.25, 0.5, 0.1]))
+    kind = draw(st.sampled_from(["uniform", "clustered", "lattice", "wide"]))
+    shift = draw(st.sampled_from([0.0, 0.3, -7.25, 1e4, 1e8, -1e8]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "uniform":
+        x = rng.uniform(-1.0, 1.0, (n, d))
+    elif kind == "clustered":
+        x = rng.uniform(-1.0, 1.0, (3, d))[rng.integers(0, 3, n)] + rng.normal(0, eps, (n, d))
+    else:
+        # Multiples of epsilon: pairs exactly at the threshold and agents
+        # exactly on cell boundaries.  "wide" puts three such groups
+        # 2^40 cells apart on every axis, so a linear cell key (product
+        # of the axes' extents) would overflow int64 from d = 2 on.
+        x = rng.integers(-3, 4, (n, d)) * eps
+        if kind == "wide":
+            x += rng.choice([-(2.0**40), 0.0, 2.0**40], (n, d)) * eps
+            shift = 0.0
+    dyadic = kind in ("lattice", "wide") and eps != 0.1 and shift != 0.3
+    return x + shift, eps, dyadic
+
+
+def _wide_case():
+    """Three groups 2^40 cells apart per axis in d = 3: the product of the
+    axes' cell extents is about 2^123, far past int64, yet each group has
+    close pairs.  Coordinates stay below 2^40, so every sum is exact."""
+    rng = np.random.default_rng(3)
+    far = rng.choice([-(2.0**40), 0.0, 2.0**40], (60, 3))
+    return (far + rng.integers(-2, 3, (60, 3))) * 0.5, 0.5, True
+
+
+@given(grid_cases())
+@example(_wide_case())
+@settings(max_examples=150, deadline=None)
+def test_grid_blocks_match_brute(case):
+    states, eps, dyadic = case
+    n = states.shape[0]
+    brute = NeighborIndex(states, eps, mode="brute")
+    sums_b, deg_b = brute.neighbor_sums()
+    members = [brute.query(i) for i in range(n)]
+    # Summing up to n terms of size <= max|x| rounds by at most n^2 eps max|x|.
+    atol = n * n * np.finfo(np.float64).eps * np.abs(states).max()
+    saved, runs = neighbors._BLOCK, []
+    try:
+        # Blocks of 1-3 agents end inside cells and straddle cell edges.
+        for block in (1, 2, 3, saved):
+            neighbors._BLOCK = block
+            grid = NeighborIndex(states, eps, mode="grid")
+            for i in range(n):
+                np.testing.assert_array_equal(grid.query(i), members[i])
+            sums, deg = grid.neighbor_sums()
+            np.testing.assert_array_equal(deg, deg_b)
+            np.testing.assert_allclose(sums, sums_b, rtol=0, atol=atol)
+            runs.append(sums)
+    finally:
+        neighbors._BLOCK = saved
+    if dyadic:
+        for sums in runs:
+            np.testing.assert_array_equal(sums, sums_b)
 
 
 @st.composite
@@ -150,3 +218,8 @@ def test_constructor_validation():
         NeighborIndex(np.zeros(3), 0.5)
     with pytest.raises(ValueError, match="stencil"):
         NeighborIndex(np.zeros((3, 40)), 0.5, mode="grid")
+    # Cells past int64 would wrap (an agent then missed even itself).
+    with pytest.raises(ValueError, match="2\\^62"):
+        NeighborIndex(np.full((3, 2), 1e8), 1e-12, mode="grid")
+    with pytest.raises(ValueError, match="2\\^62"):
+        NeighborIndex(np.array([[0.0], [np.nan]]), 0.5, mode="grid")
