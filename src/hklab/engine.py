@@ -9,7 +9,7 @@ absorbing when delta <= epsilon / 2.
 
 One chunked loop advances every batch: noise, hit, deadline, audit and
 horizon bookkeeping, recorder, magnitude guard and compaction.  Only a
-step's two calls (neighbor sums, d_V) differ with n, as two kernels:
+step's two calls (neighbor means, d_V) differ with n, as two kernels:
 _Lockstep (n <= _LOCKSTEP_MAX_N) holds all live runs in one runs-last
 (n, d, A) tensor and adds neighbors in ascending agent order; _Indexed
 steps one run, one draw at a time, through a NeighborIndex built each
@@ -125,7 +125,9 @@ class _Lockstep:
 
     Distances go into a runs-last (n, n, A) buffer through its (A, n, n)
     view, and a step's neighbor sums take their adjacency from the
-    previous step's distances there.  Its d_V is always exact.
+    previous step's distances there, unless every running run is
+    synchronized and each mean is the total over agents.  Its d_V is
+    always exact.
     """
 
     def __init__(self, cfg: ModelConfig, a: int):
@@ -134,8 +136,7 @@ class _Lockstep:
         self.d2, self.prod, self.deg = np.empty((n, n, a)), np.empty((n, n, a)), np.empty((n, a))
 
     def compact(self, keep) -> None:
-        # Fancy indexing on the run axis returns runs-first; keep C order.
-        self.d2 = np.ascontiguousarray(self.d2[:, :, keep])
+        self.d2 = np.compress(keep, self.d2, axis=2)
         n, _, a = self.d2.shape
         self.prod, self.deg = np.empty((n, n, a)), np.empty((n, a))
 
@@ -145,8 +146,17 @@ class _Lockstep:
         pairwise_sq_dists(states.transpose(runs), out=out, tmp=tmp)
         return self.d2.max(axis=(0, 1))
 
-    def sums(self, states: np.ndarray, out: np.ndarray):
-        return runs_last_sums(states, self.d2, self.epsilon, out=out, prod=self.prod, deg=self.deg)
+    def mean(self, states: np.ndarray, out: np.ndarray, synced: bool) -> np.ndarray:
+        # With every pair a neighbor, the total over agents is
+        # runs_last_sums with an all-ones adjacency, bit for bit, as long
+        # as the reduce adds the outer agent axis one slice at a time:
+        # that needs a contiguous inner axis of length > 1.  Over a lone
+        # contiguous axis (d = 1, one run) it would add pairwise.
+        if synced and states.flags.c_contiguous and states[0].size > 1:
+            return np.divide(np.add.reduce(states, axis=0), states.shape[0], out=out)
+        out, deg = runs_last_sums(states, self.d2, self.epsilon, out=out, prod=self.prod, deg=self.deg)
+        out /= deg[:, None]
+        return out
 
 
 class _Indexed:
@@ -178,12 +188,13 @@ class _Indexed:
             return np.array([np.nan])
         return np.array([max_sq_dist(x)])
 
-    def sums(self, states: np.ndarray, out: np.ndarray):
+    def mean(self, states: np.ndarray, out: np.ndarray, synced: bool) -> np.ndarray:
         # NeighborIndex is read from this module at call time, so it can
-        # be rebound from outside (hkbench/tracing.py does).
+        # be rebound from outside (hkbench/tracing.py does).  Its sums add
+        # in cell order whether or not the run is synchronized.
         sums, deg = NeighborIndex(states[:, :, 0], self.epsilon).neighbor_sums()
-        out[:, :, 0] = sums
-        return out, deg[:, None]
+        np.divide(sums, deg[:, None], out=out[:, :, 0])
+        return out
 
 
 def run_batch(
@@ -249,7 +260,9 @@ def run_batch(
 
     live = np.arange(a0)
     dv2 = kernel.sq_dv(states, exact=False)
-    hit0 = dv2 <= eps2
+    # Whether each live run's current state is synchronized; carried
+    # across chunks and compaction, since an audited run can leave.
+    synced = hit0 = dv2 <= eps2
     hit_all[hit0] = True
     t_hit_all[hit0] = 0
     dve_all[hit0] = np.sqrt(dv2[hit0])
@@ -264,13 +277,12 @@ def run_batch(
         if not keep.any():
             break
         if not keep.all():
-            states = states[:, :, keep]
+            states = np.compress(keep, states, axis=2)
             deadline = deadline[keep]
             live = live[keep]
             keys = keys[keep]
+            synced = synced[keep]
             kernel.compact(keep)
-            # C order, unlike the compacted states (runs first); the next
-            # swap makes states runs-last again.
             new = np.empty(states.shape)
         b = min(chunk_cap, _chunk_steps(live.shape[0], n, w, int(deadline.max()) - t))
         ts = np.arange(t + 1, t + b + 1, dtype=np.int64)
@@ -280,28 +292,33 @@ def run_batch(
         for k in range(b):
             tk = t + k + 1
             running = tk <= deadline
-            new, deg = kernel.sums(states, new)
-            new /= deg[:, None]
+            all_running = running.all()
+            all_synced = synced.all() if all_running else (synced | ~running).all()
+            new = kernel.mean(states, new, all_synced)
             new += xi[k]
             if bounded:
                 np.clip(new, BOX_LO, BOX_HI, out=new)
-            if running.all():
+            if all_running:
                 states, new = new, states
             else:
                 states = np.where(running, new, states)
             # A run censored at the horizon needs its exact d_V there.
             dv2 = kernel.sq_dv(states, exact=tk == horizon and not hit_live.all())
             synced = dv2 <= eps2
-            newly = running & ~hit_live & synced
-            if newly.any():
-                idx = live[newly]
-                hit_all[idx] = True
-                hit_live = hit_live | newly
-                t_hit_all[idx] = tk
-                dve_all[idx] = np.sqrt(dv2[newly])
-                deadline = np.where(newly, tk + extra_after_hit, deadline)
-            if extra_after_hit:
-                viol = running & hit_live & ~newly & ~synced
+            # A running run changes status when it first synchronizes
+            # (newly) or, once hit, leaves synchronization during its
+            # audit (viol); newly is a subset of synced.
+            change = running & (synced != hit_live)
+            if change.any():
+                newly = change & synced
+                viol = change & hit_live
+                if newly.any():
+                    idx = live[newly]
+                    hit_all[idx] = True
+                    hit_live = hit_live | newly
+                    t_hit_all[idx] = tk
+                    dve_all[idx] = np.sqrt(dv2[newly])
+                    deadline = np.where(newly, tk + extra_after_hit, deadline)
                 if viol.any():
                     absorb_all[live[viol]] = False
             if tk == horizon:

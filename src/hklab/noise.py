@@ -29,6 +29,10 @@ SYMMETRIC_FAMILIES = frozenset(FAMILIES)
 
 _TWO_PI = 2.0 * np.pi
 
+# Draws per block of the uniform_ball transform, which works on planar
+# (coordinate-major) copies of a block small enough to stay in cache.
+_BALL_BLOCK = 8192
+
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -84,42 +88,70 @@ def _uniforms_to_noise(spec: NoiseSpec, u: np.ndarray, d: int) -> np.ndarray:
         out -= c
         return out
     if spec.family == "uniform_ball":
-        npairs = (d + 1) // 2
-        # Box-Muller: pair k gives coordinates 2k (cos) and 2k+1 (sin);
-        # the sin of the last pair is unused when d is odd.  Each
-        # product below is the same rounded operation as its allocating
-        # form, so the draws are bit-identical to it.
-        u1 = u[..., 0 : 2 * npairs : 2]
-        theta = np.multiply(u[..., 1 : 2 * npairs : 2], _TWO_PI)
-        # log1p(-u1) is finite for u1 in [0, 1).
-        rad = np.negative(u1)
-        np.log1p(rad, out=rad)
-        rad *= -2.0
-        np.sqrt(rad, out=rad)
         v = np.empty(u.shape[:-1] + (d,), dtype=np.float64)
-        cos, sin = v[..., 0::2], v[..., 1::2]
-        np.cos(theta, out=cos)
-        cos *= rad
-        half = d // 2
-        np.sin(theta[..., :half], out=sin)
-        sin *= rad[..., :half]
-        del theta, rad
-        nrm = np.einsum("...k,...k->...", v, v)
-        np.sqrt(nrm, out=nrm)
-        nrm[nrm == 0.0] = 1.0
-        radius = u[..., 2 * npairs] ** (1.0 / d)
-        radius *= spec.delta
-        radius /= nrm
-        v *= radius[..., None]
-        # Rounding in normalize-and-scale can overshoot the bound by an
-        # ulp; rescale those draws so ||v|| <= delta holds exactly.
-        s2 = np.einsum("...k,...k->...", v, v)
-        over = s2 > spec.delta * spec.delta
-        if np.any(over):
-            fac = np.where(over, spec.delta / np.sqrt(np.where(over, s2, 1.0)), 1.0)
-            v = v * fac[..., None]
+        flat_u, flat_v = u.reshape(-1, u.shape[-1]), v.reshape(-1, d)
+        for lo in range(0, flat_v.shape[0], _BALL_BLOCK):
+            hi = lo + _BALL_BLOCK
+            up = np.ascontiguousarray(flat_u[lo:hi].T)
+            flat_v[lo:hi] = _ball_planar(up, d, spec.delta).T
         return v
     raise ValueError(f"unknown noise family: {spec.family}")
+
+
+def _even_odd_sq_norm(c: np.ndarray) -> np.ndarray:
+    """Squared norms of planar vectors c (d, m): even rows, then odd rows.
+
+    Each parity is added in ascending coordinate order and the two sums
+    are added last, so the result does not depend on how numpy
+    vectorizes a reduction.
+    """
+    sq = np.square(c)
+    total = sq[0]
+    for k in range(2, len(sq), 2):
+        total += sq[k]
+    if len(sq) > 1:
+        odd = sq[1]
+        for k in range(3, len(sq), 2):
+            odd += sq[k]
+        total += odd
+    return total
+
+
+def _ball_planar(up: np.ndarray, d: int, delta: float) -> np.ndarray:
+    """uniform_ball draws (d, m) from planar uniforms up (W, m), consumed."""
+    npairs = (d + 1) // 2
+    half = d // 2
+    # Box-Muller: pair k gives coordinates 2k (cos) and 2k+1 (sin); the
+    # sin of the last pair is unused when d is odd.
+    theta = up[1 : 2 * npairs : 2]
+    theta *= _TWO_PI
+    # log1p(-u1) is finite for u1 in [0, 1).
+    rad = up[0 : 2 * npairs : 2]
+    np.negative(rad, out=rad)
+    np.log1p(rad, out=rad)
+    rad *= -2.0
+    np.sqrt(rad, out=rad)
+    c = np.empty((d, up.shape[1]))
+    cos, sin = c[0::2], c[1::2]
+    np.cos(theta, out=cos)
+    cos *= rad
+    np.sin(theta[:half], out=sin)
+    sin *= rad[:half]
+    nrm = _even_odd_sq_norm(c)
+    np.sqrt(nrm, out=nrm)
+    nrm[nrm == 0.0] = 1.0
+    radius = up[2 * npairs]
+    radius **= 1.0 / d
+    radius *= delta
+    radius /= nrm
+    c *= radius
+    # Rounding in normalize-and-scale can overshoot the bound by an ulp;
+    # rescale those draws so ||v|| <= delta holds exactly.
+    s2 = _even_odd_sq_norm(c)
+    over = s2 > delta * delta
+    if over.any():
+        c[:, over] *= delta / np.sqrt(s2[over])
+    return c
 
 
 def noise_block(spec: NoiseSpec, keys, ts, n: int, d: int) -> np.ndarray:

@@ -49,6 +49,11 @@ def run_keys(base_seed: int, run_indices) -> np.ndarray:
         return splitmix64(base + runs)
 
 
+# Doubles in one block of runs: small enough for a padded block to stay
+# in cache between its fill and its copy into the result.
+_PAD_BLOCK = 1 << 15
+
+
 def blocks_per_step(count: int) -> int:
     """Counter blocks a step of `count` uniforms occupies."""
     return (count + 3) // 4
@@ -77,25 +82,38 @@ def uniforms_at(keys, ts, count: int) -> np.ndarray:
     """
     keys = np.asarray(keys, dtype=np.uint64)
     ts = np.asarray(ts, dtype=np.uint64)
-    nsteps = ts.shape[0]
+    nruns, nsteps = keys.shape[0], ts.shape[0]
     if nsteps == 0 or count <= 0:
-        return np.empty((keys.shape[0], nsteps, max(count, 0)), dtype=np.float64)
+        return np.empty((nruns, nsteps, max(count, 0)), dtype=np.float64)
     if not np.all(ts[1:] == ts[:-1] + np.uint64(1)):
         raise ValueError("ts must be consecutive ascending steps")
     bps = blocks_per_step(count)
-    out = np.empty((keys.shape[0], nsteps, count), dtype=np.float64)
-    buf = np.empty((nsteps, 4 * bps), dtype=np.float64)
+    width = 4 * bps
+    out = np.empty((nruns, nsteps, count), dtype=np.float64)
     bitgen = Philox(key=0, counter=int(ts[0]) * bps)
     gen = Generator(bitgen)
     # Philox(key=k, counter=t0 * bps) starts from this state with its
     # first key word set to k: the counter is set and the buffer empty.
+    # Its words become plain ints, which the state setter reads far
+    # faster than numpy arrays.
     state = bitgen.state
+    state["state"] = {name: words.tolist() for name, words in state["state"].items()}
+    state["buffer"] = state["buffer"].tolist()
     key = state["state"]["key"]
-    for a, k in enumerate(keys):
-        key[0] = k
-        bitgen.state = state
-        gen.random(out=buf)
-        out[a] = buf[:, :count]
+    keys = keys.tolist()
+    # Each run fills its rows of a cache-sized block of runs: the result
+    # itself when no step ends in pad doubles, else a padded block that
+    # is copied into the result without them.
+    per = max(1, _PAD_BLOCK // (nsteps * width))
+    pad = None if width == count else np.empty((min(per, nruns), nsteps, width))
+    for lo in range(0, nruns, per):
+        rows = out[lo : lo + per] if pad is None else pad[: min(per, nruns - lo)]
+        for k, row in zip(keys[lo : lo + per], rows):
+            key[0] = k
+            bitgen.state = state
+            gen.random(out=row)
+        if pad is not None:
+            out[lo : lo + per] = rows[:, :, :count]
     return out
 
 

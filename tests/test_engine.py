@@ -86,8 +86,12 @@ def test_batch_matches_solo_runs_bitwise():
     # numpy's pairwise summation to differ from ascending order, so a
     # kernel whose order depended on the run count would split batch from
     # solo there.
+    # The large-delta config's audits leave synchronization, so runs of
+    # one batch switch between the all-neighbors total and the general
+    # sums at different steps.
     horizon = 2000
-    for cfg in (_bounded_cfg(), _bounded_cfg(n=10, d=1), _bounded_cfg(n=10, d=3)):
+    loose = replace(_bounded_cfg(n=6, d=2), noise=NoiseSpec("uniform_ball", 0.45), allow_large_delta=True)
+    for cfg in (_bounded_cfg(), _bounded_cfg(n=10, d=1), _bounded_cfg(n=10, d=3), loose):
         batch = run_batch(cfg, 7, np.arange(8), horizon, extra_after_hit=20)
         for i in range(8):
             solo = run_batch(cfg, 7, [i], horizon, extra_after_hit=20)
@@ -192,12 +196,18 @@ def test_indexed_trajectory_replays_lockstep_snapshots(monkeypatch):
         assert not np.isnan(rec_lock.d_v).any()
 
 
-def test_hk_step_replays_lockstep_snapshots_bitwise():
+def test_hk_step_replays_lockstep_snapshots_bitwise(monkeypatch):
     # Non-dyadic states in d = 3 and in d = 1 with ten agents (where
     # matmul would have summed by BLAS gemv): the lockstep batch and
     # hk_step share one distance expression and one neighbor-sum order,
     # so replaying the run's own noise draws through hk_step reproduces
-    # every snapshot.
+    # every snapshot.  The replays also run through audit windows
+    # (extra_after_hit > 0), whose steps from a synchronized state take
+    # the engine's all-neighbors total.  The large-delta config leaves
+    # synchronization during its audit, so its window mixes both kinds
+    # of step; seven-step chunks carry the synchronized flag across
+    # chunk boundaries.
+    monkeypatch.setattr(engine, "_CHUNK_STEPS", 7)
     d3 = ModelConfig(
         n=8,
         d=3,
@@ -206,12 +216,22 @@ def test_hk_step_replays_lockstep_snapshots_bitwise():
         noise=NoiseSpec("uniform_ball", 0.4),
         initial=InitialCondition("uniform_box", seed=4),
     )
-    for cfg, run_index, min_steps in ((d3, 1, 100), (_bounded_cfg(n=10, d=1), 2, 50)):
-        sample, rec = run_trajectory(
-            cfg, horizon=1000, base_seed=17, run_index=run_index, snapshot_stride=1
-        )
-        steps = sample.t_end
-        assert sample.hit and steps > min_steps
+    d1 = _bounded_cfg(n=10, d=1)
+    loose = replace(d3, noise=NoiseSpec("uniform_ball", 0.6), allow_large_delta=True)
+    cases = (
+        (d3, 1, 100, 0),
+        (d1, 2, 50, 0),
+        (d3, 1, 100, 60),
+        (d1, 2, 50, 60),
+        (loose, 0, 100, 60),
+    )
+    for cfg, run_index, min_steps, extra in cases:
+        res = run_batch(cfg, 17, [run_index], 1000, extra_after_hit=extra, snapshot_stride=1)
+        sample, rec = res.samples[0], res.record
+        assert sample.hit and sample.t_end > min_steps
+        if extra:
+            assert bool(res.absorb_ok[0]) == (cfg is not loose)
+        steps = sample.t_end + extra
         np.testing.assert_array_equal(rec.snapshot_times, np.arange(steps + 1))
         keys = run_keys(17, [run_index])
         xi = noise_block(cfg.noise, keys, np.arange(1, steps + 1), cfg.n, cfg.d)[0]

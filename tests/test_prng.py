@@ -153,3 +153,13 @@ def test_uniforms_match_fresh_philox_per_run():
                 assert got.shape == (order.size, nsteps, count)
                 for a, key in enumerate(order):
                     np.testing.assert_array_equal(got[a], _fresh_reference(key, ts, count))
+    # 3000 runs of 17 steps fill several cache-sized blocks wherever the
+    # count leaves padding (counts 1, 2 and 5); the result is still one
+    # C-contiguous (A, B, count) array.
+    many = run_keys(7, np.arange(3000))
+    ts = np.arange(40, 57)
+    for count in (1, 2, 4, 5, 20):
+        got = uniforms_at(many, ts, count)
+        assert got.shape == (many.size, ts.size, count) and got.flags.c_contiguous
+        want = np.stack([_fresh_reference(key, ts, count) for key in many])
+        np.testing.assert_array_equal(got, want)
