@@ -53,7 +53,7 @@ from .model import (
     validate_model_config,
 )
 from .neighbors import NeighborIndex
-from .noise import NoiseSpec, SeedSchedule, sample_noise, validate_noise_spec
+from .noise import NoiseSpec, sample_noise, validate_noise_spec
 from .presets import PRESET_NAMES, preset, preset_family, preset_variants
 from .projected import (
     AuditResult,

@@ -7,15 +7,17 @@ explicit censoring flag, and d_V at that step as end_value.  It can
 optionally keep stepping past the hit to audit that the condition is
 absorbing when delta <= epsilon / 2.
 
-One chunked loop advances every batch: noise, hit, deadline, audit and
-horizon bookkeeping, recorder, magnitude guard and compaction.  Only a
-step's two calls (neighbor means, d_V) differ with n, as two kernels:
-_Lockstep (n <= _LOCKSTEP_MAX_N) holds all live runs in one runs-last
-(n, d, A) tensor and adds neighbors in ascending agent order; _Indexed
-steps one run, one draw at a time, through a NeighborIndex built each
-step.  Every noise draw is a pure function of (base_seed, run_index, t,
-agent) and every per-run reduction has a fixed order, so a run's
-trajectory is bit-identical no matter which other runs share the batch.
+One chunked loop advances exactly the runs of one batch (ensemble.py
+sizes batches): noise, hit, deadline, audit and horizon bookkeeping,
+recorder, magnitude guard and compaction.  Only a step's two calls
+(neighbor means, d_V) and the steps per noise chunk differ with n, as
+two kernels: _Lockstep (n <= _LOCKSTEP_MAX_N) holds all live runs in one
+runs-last (n, d, A) tensor, with (n, n, A) buffers of n^2 A doubles, and
+adds neighbors in ascending agent order; _Indexed steps each run alone,
+one draw at a time, through a NeighborIndex built each step.  Every
+noise draw is a pure function of (base_seed, run_index, t, agent) and
+every per-run reduction has a fixed order, so a run's trajectory is
+bit-identical no matter which other runs share the batch.
 """
 
 from __future__ import annotations
@@ -43,12 +45,8 @@ MAGNITUDE_GUARD = 1e12
 # Lockstep batches are worthwhile only for small per-run systems.
 _LOCKSTEP_MAX_N = 128
 
-# Steps per chunk stay below this even when few runs remain.
+# Lockstep steps per chunk stay below this even when few runs remain.
 _CHUNK_STEPS = 4096
-
-# Batches wider than this are advanced in independent slices; per-run
-# streams make the split invisible in the results.
-_RUN_SLICE = 8192
 
 
 @dataclass
@@ -133,6 +131,7 @@ class _Lockstep:
     def __init__(self, cfg: ModelConfig, a: int):
         n = cfg.n
         self.epsilon = cfg.epsilon
+        self.chunk_steps = _CHUNK_STEPS
         self.d2, self.prod, self.deg = np.empty((n, n, a)), np.empty((n, n, a)), np.empty((n, a))
 
     def compact(self, keep) -> None:
@@ -160,40 +159,51 @@ class _Lockstep:
 
 
 class _Indexed:
-    """Step kernel of n > _LOCKSTEP_MAX_N: one run, neighbors from an index.
+    """Step kernel of n > _LOCKSTEP_MAX_N: each run alone, through an index.
 
-    Each step builds a NeighborIndex (grid or brute, as "auto" picks)
-    over the current states; its sums add by BLAS matmul in cell order.
-    A one-run batch never compacts.
+    Each step builds one NeighborIndex (grid or brute, as "auto" picks)
+    per run over a contiguous copy of its states; its sums add by BLAS
+    matmul in cell order.  Noise is drawn one step at a time: a grid
+    step costs far more than its draw, and longer chunks would only hold
+    more noise in memory.  It keeps no per-run buffer, so compaction
+    has nothing to drop.
     """
+
+    chunk_steps = 1
 
     def __init__(self, cfg: ModelConfig, a: int):
         self.epsilon = cfg.epsilon
         self.eps2 = cfg.epsilon * cfg.epsilon
 
+    def compact(self, keep) -> None:
+        pass
+
     def sq_dv(self, states: np.ndarray, exact: bool) -> np.ndarray:
-        """d_V^2, or NaN where an O(n d) prune shows d_V > epsilon.
+        """d_V^2 per run, or NaN where an O(n d) prune shows d_V > epsilon.
 
         If some coordinate range alone exceeds epsilon the pair
         realizing it is at least that far apart, so the run cannot be
         synchronized.  The prune's square is the very term
         pairwise_sq_dists adds for that pair, and adding nonnegative
         terms never rounds below one of them, so it never contradicts
-        the exact maximum.  Only near-synchronized states, and states
-        whose exact d_V is asked for, reach neighbors.max_sq_dist.
+        the exact maximum.  Only near-synchronized runs, and every run
+        when exact d_V is asked for, reach neighbors.max_sq_dist.
         """
-        x = states[:, :, 0]
-        rng = x.max(axis=0) - x.min(axis=0)
-        if not exact and np.max(rng * rng) > self.eps2:
-            return np.array([np.nan])
-        return np.array([max_sq_dist(x)])
+        rng = states.max(axis=0) - states.min(axis=0)
+        far = (rng * rng).max(axis=0) > self.eps2
+        out = np.full(states.shape[2], np.nan)
+        for k in np.flatnonzero(exact | ~far):
+            out[k] = max_sq_dist(np.ascontiguousarray(states[:, :, k]))
+        return out
 
     def mean(self, states: np.ndarray, out: np.ndarray, synced: bool) -> np.ndarray:
         # NeighborIndex is read from this module at call time, so it can
         # be rebound from outside (hkbench/tracing.py does).  Its sums add
         # in cell order whether or not the run is synchronized.
-        sums, deg = NeighborIndex(states[:, :, 0], self.epsilon).neighbor_sums()
-        np.divide(sums, deg[:, None], out=out[:, :, 0])
+        for k in range(states.shape[2]):
+            x = np.ascontiguousarray(states[:, :, k])
+            sums, deg = NeighborIndex(x, self.epsilon).neighbor_sums()
+            np.divide(sums, deg[:, None], out=out[:, :, k])
         return out
 
 
@@ -205,44 +215,30 @@ def run_batch(
     extra_after_hit: int = 0,
     record_stride: int = 0,
     snapshot_stride: int = 0,
-    guard: float = MAGNITUDE_GUARD,
 ) -> BatchResult:
-    """Advance a batch of runs to completion.
+    """Advance one batch of runs to completion.
 
     Every run stops at min(T, horizon); with extra_after_hit > 0, hit
     runs continue for that many further steps (past the horizon if
     need be) and absorb_ok[k] reports whether d_V stayed <= epsilon
-    throughout run k's continuation window.
+    throughout run k's continuation window.  All A runs form one batch,
+    whose lockstep buffers hold n^2 A doubles each, so callers bound A
+    (run_ensemble does).  record_stride and snapshot_stride record a
+    single run.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     run_indices = np.asarray(run_indices, dtype=np.int64)
     a0 = run_indices.shape[0]
+    if (record_stride or snapshot_stride) and a0 > 1:
+        raise ValueError(f"record_stride and snapshot_stride record a single run, got {a0} runs")
     if a0 == 0:
         return BatchResult(samples=[])
     n, d = cfg.n, cfg.d
-    indexed = n > _LOCKSTEP_MAX_N
-    # Indexed runs go one per batch.  Their noise is drawn one step at a
-    # time: a grid step costs far more than its draw, and longer chunks
-    # would only hold more noise in memory.
-    run_slice, chunk_cap = (1, 1) if indexed else (_RUN_SLICE, _CHUNK_STEPS)
-
-    if a0 > run_slice:
-        parts = [
-            run_batch(
-                cfg, base_seed, run_indices[lo : lo + run_slice], horizon, extra_after_hit, guard=guard
-            )
-            for lo in range(0, a0, run_slice)
-        ]
-        return BatchResult(
-            samples=[s for part in parts for s in part.samples],
-            absorb_ok=np.concatenate([p.absorb_ok for p in parts]) if extra_after_hit else None,
-        )
-
     eps2 = cfg.epsilon * cfg.epsilon
     bounded = cfg.space_mode == "bounded"
     recorder = None
-    if (record_stride or snapshot_stride) and a0 == 1:
+    if record_stride or snapshot_stride:
         recorder = _Recorder(cfg, record_stride, snapshot_stride)
 
     keys = run_keys(base_seed, run_indices)
@@ -251,7 +247,7 @@ def run_batch(
     x0 = cfg.initial.build(n, d, cfg.epsilon)
     states = np.repeat(x0[:, :, None], a0, axis=2)
     new = np.empty(states.shape)
-    kernel = (_Indexed if indexed else _Lockstep)(cfg, a0)
+    kernel = (_Indexed if n > _LOCKSTEP_MAX_N else _Lockstep)(cfg, a0)
 
     hit_all = np.zeros(a0, dtype=bool)
     t_hit_all = np.full(a0, horizon, dtype=np.int64)
@@ -284,7 +280,7 @@ def run_batch(
             synced = synced[keep]
             kernel.compact(keep)
             new = np.empty(states.shape)
-        b = min(chunk_cap, _chunk_steps(live.shape[0], n, w, int(deadline.max()) - t))
+        b = min(kernel.chunk_steps, _chunk_steps(live.shape[0], n, w, int(deadline.max()) - t))
         ts = np.arange(t + 1, t + b + 1, dtype=np.int64)
         # (B, n, d, A) view of the (A, B, n, d) draws; no copy is made.
         xi = noise_block(cfg.noise, keys, ts, n, d).transpose(1, 2, 3, 0)
@@ -328,10 +324,10 @@ def run_batch(
             if recorder and running[0]:
                 recorder.observe(tk, states[:, :, 0], float(dv2[0]), final=bool(deadline[0] == tk))
         t += b
-        if not bounded and np.abs(states).max() > guard:
+        if not bounded and np.abs(states).max() > MAGNITUDE_GUARD:
             worst = int(live[np.argmax(np.abs(states).max(axis=(0, 1)))])
             raise RuntimeError(
-                f"state magnitude exceeded guard {guard:g} by t={t} "
+                f"state magnitude exceeded guard {MAGNITUDE_GUARD:g} by t={t} "
                 f"(run_index={int(run_indices[worst])}); aborting"
             )
 

@@ -2,10 +2,13 @@
 
 Runs are indexed 0..M-1 and each run's trajectory is a pure function of
 (config, base_seed, run_index), so results are independent of worker
-count and of how runs are chunked.  Extending the horizon extends each
-run's own noise stream; statistics at a smaller horizon are therefore
-recoverable exactly from a single long pass, and hit fractions are
-monotone in the horizon by construction.
+count and of how runs are chunked.  run_ensemble is the one place that
+partitions runs, into engine batches small enough that a lockstep
+batch's (n, n, A) buffers stay within the budget that bounds every
+noise chunk; a failing batch loses only its own runs.  Extending the
+horizon extends each run's own noise stream; statistics at a smaller
+horizon are therefore recoverable exactly from a single long pass, and
+hit fractions are monotone in the horizon by construction.
 
 Survival curves use the empirical estimator S(t) = #{min(T, horizon)
 >= t} / M evaluated on the geometric grid t_k = ceil(1.2^k), with the
@@ -20,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import walks
 from .engine import BatchResult, run_batch
 from .model import ModelConfig
 
@@ -300,15 +304,19 @@ def run_ensemble(
 ) -> EnsembleResult:
     """M independent runs, distributable over worker processes.
 
-    The per-run noise streams are counter-based, so the samples are
-    bit-identical for every worker count and chunking.  When a chunk
-    raises, EnsembleError names its runs and carries the chunks that
-    completed as ``partial`` (None when none did).
+    The runs are split into max(workers, ceil(runs / width)) chunks of
+    at most width = max(1, walks._CHUNK_ELEMS // n^2) runs, each one
+    run_batch call.  The per-run noise streams are counter-based, so
+    the samples are bit-identical for every worker count and chunking.
+    When a chunk raises, EnsembleError names its runs and carries the
+    chunks that completed as ``partial`` (None when none did).
     """
     if runs < 1:
         raise ValueError("need at least one run")
     indices = np.arange(runs, dtype=np.int64)
-    chunks = [c for c in np.array_split(indices, max(1, workers)) if c.size]
+    width = max(1, walks._CHUNK_ELEMS // cfg.n**2)
+    parts = max(1, workers, math.ceil(runs / width))
+    chunks = [c for c in np.array_split(indices, parts) if c.size]
     jobs = [(cfg, base_seed, c, horizon, extra_after_hit) for c in chunks]
     if workers <= 1 or len(jobs) == 1:
         outcomes = [_settle(_ensemble_worker, job) for job in jobs]

@@ -118,11 +118,6 @@ def runs_last_sums(x: np.ndarray, d2: np.ndarray, epsilon: float, out=None, prod
     return out, deg
 
 
-def clamp_to_box(x: np.ndarray, lo: float = BOX_LO, hi: float = BOX_HI) -> np.ndarray:
-    """Coordinatewise clamp onto [lo, hi]."""
-    return np.clip(x, lo, hi)
-
-
 def neighbor_set(states: np.ndarray, i: int, epsilon: float) -> np.ndarray:
     """Indices j with ||x_j - x_i|| <= epsilon, ascending; always contains i."""
     d2 = pairwise_sq_dists(states[i : i + 1], states)[0]
@@ -167,7 +162,7 @@ def hk_step(
     sums, deg = runs_last_sums(states[:, :, None], d2, epsilon)
     out = sums[:, :, 0] / deg[:, 0, None] + noise
     if space_mode == "bounded":
-        out = clamp_to_box(out)
+        out = np.clip(out, BOX_LO, BOX_HI)
     return out
 
 

@@ -47,21 +47,6 @@ class NoiseSpec:
     requires_symmetry: bool = False
 
 
-@dataclass(frozen=True)
-class SeedSchedule:
-    """Deterministic stream coordinates for one run of an ensemble.
-
-    The draw for agent i at step t is a pure function of
-    (base_seed, run_index, t, i); see sample_noise.
-    """
-
-    base_seed: int
-    run_index: int
-
-    def key(self) -> np.uint64:
-        return run_keys(self.base_seed, [self.run_index])[0]
-
-
 def uniforms_per_draw(family: str, d: int) -> int:
     """Uniforms consumed per agent draw."""
     if family == "uniform_ball":
@@ -159,7 +144,8 @@ def noise_block(spec: NoiseSpec, keys, ts, n: int, d: int) -> np.ndarray:
 
     keys is the (A,) array of run keys and ts the (B,) consecutive step
     indices.  Row i of each (n, d) block is exactly
-    sample_noise(spec, ., t, i, n, d).
+    sample_noise(spec, base_seed, run_index, t, i, n, d) for the run
+    whose key it is.
     """
     w = uniforms_per_draw(spec.family, d)
     keys = np.asarray(keys, dtype=np.uint64)
@@ -170,9 +156,9 @@ def noise_block(spec: NoiseSpec, keys, ts, n: int, d: int) -> np.ndarray:
 
 
 def sample_noise(
-    spec: NoiseSpec, schedule: SeedSchedule, t: int, i: int, n: int, d: int
+    spec: NoiseSpec, base_seed: int, run_index: int, t: int, i: int, n: int, d: int
 ) -> np.ndarray:
-    """Single draw for agent i at step t of an n-agent system, shape (d,).
+    """Single draw for agent i at step t of run run_index, shape (d,).
 
     Regenerates the step's uniform stream and reads agent i's slice, so
     the result does not depend on which draws were produced before it
@@ -183,7 +169,7 @@ def sample_noise(
     if not 0 <= i < n:
         raise ValueError("agent index out of range")
     w = uniforms_per_draw(spec.family, d)
-    u = uniforms_at(np.asarray([schedule.key()]), [t], n * w)
+    u = uniforms_at(run_keys(base_seed, [run_index]), [t], n * w)
     return _uniforms_to_noise(spec, u[:, :, i * w : (i + 1) * w], d)[0, 0]
 
 

@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 import hklab.engine as engine
+import hklab.ensemble as ensemble
+from hklab import walks
 from hklab.engine import (
     BatchResult,
     check_absorbing,
@@ -18,6 +20,7 @@ from hklab.engine import (
     run_batch,
     run_trajectory,
 )
+from hklab.ensemble import run_ensemble
 from hklab.model import InitialCondition, ModelConfig, hk_step
 from hklab.noise import NoiseSpec, noise_block
 from hklab.presets import preset
@@ -100,10 +103,22 @@ def test_batch_matches_solo_runs_bitwise():
 
 
 def test_run_slicing_invariance(monkeypatch):
+    # run_ensemble cuts the runs into batches of at most
+    # walks._CHUNK_ELEMS // n^2 runs.  A budget of 3 n^2 makes four
+    # serial batches of 4-agent runs; their samples and audits must
+    # equal one batch of all ten bit for bit.
     cfg = _bounded_cfg()
     whole = run_batch(cfg, 11, np.arange(10), 500, extra_after_hit=50)
-    monkeypatch.setattr(engine, "_RUN_SLICE", 3)
-    sliced = run_batch(cfg, 11, np.arange(10), 500, extra_after_hit=50)
+    batches = []
+
+    def counting(*args, **kwargs):
+        batches.append(len(args[2]))
+        return run_batch(*args, **kwargs)
+
+    monkeypatch.setattr(walks, "_CHUNK_ELEMS", 3 * cfg.n**2)
+    monkeypatch.setattr(ensemble, "run_batch", counting)
+    sliced = run_ensemble(cfg, 10, 500, 11, workers=1, extra_after_hit=50)
+    assert len(batches) >= 3 and max(batches) <= 3
     assert [_sample_tuple(s) for s in sliced.samples] == [_sample_tuple(s) for s in whole.samples]
     np.testing.assert_array_equal(sliced.absorb_ok, whole.absorb_ok)
 
@@ -144,6 +159,34 @@ def test_indexed_path_matches_lockstep_bitwise(monkeypatch):
     indexed = run_batch(cfg, 9, np.arange(40), 15, extra_after_hit=5)
     assert [_sample_tuple(s) for s in indexed.samples] == [_sample_tuple(s) for s in lockstep.samples]
     np.testing.assert_array_equal(indexed.absorb_ok, lockstep.absorb_ok)
+
+
+def test_indexed_batch_matches_solo_runs_bitwise(monkeypatch):
+    # The indexed kernel steps each run of a batch on its own copy of its
+    # states, so on non-dyadic states, where the BLAS order of its sums
+    # shows, a batch still equals solo runs bit for bit: in grid mode
+    # (3^d < n) and brute mode (3^d >= n), with hits, audits past the
+    # horizon and censored runs.
+    monkeypatch.setattr(engine, "_LOCKSTEP_MAX_N", 1)
+    modes = []
+
+    class RecordingIndex(engine.NeighborIndex):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            modes.append(self.mode)
+
+    monkeypatch.setattr(engine, "NeighborIndex", RecordingIndex)
+    cases = [(_bounded_cfg(), 30, "grid"), (_bounded_cfg(n=8, d=2), 95, "brute")]
+    for cfg, horizon, mode in cases:
+        modes.clear()
+        batch = run_batch(cfg, 5, np.arange(12), horizon, extra_after_hit=6)
+        assert set(modes) == {mode}
+        hit = [s.hit for s in batch.samples]
+        assert 0 < sum(hit) < 12
+        for i in range(12):
+            solo = run_batch(cfg, 5, [i], horizon, extra_after_hit=6)
+            assert _sample_tuple(solo.samples[0]) == _sample_tuple(batch.samples[i])
+            assert solo.absorb_ok[0] == batch.absorb_ok[i]
 
 
 def test_indexed_path_steps_each_run_to_its_deadline(monkeypatch):
@@ -299,7 +342,8 @@ def test_check_absorbing_refuses_large_delta():
         check_absorbing(bad, 0, 0, 1)
 
 
-def test_magnitude_guard_trips():
+def test_magnitude_guard_trips(monkeypatch):
+    monkeypatch.setattr(engine, "MAGNITUDE_GUARD", 1.0)
     cfg = ModelConfig(
         n=4,
         d=1,
@@ -309,11 +353,12 @@ def test_magnitude_guard_trips():
         initial=InitialCondition("two_cluster", separation_eps=10.0, sizes=(2, 2)),
     )
     with pytest.raises(RuntimeError, match="exceeded guard"):
-        run_batch(cfg, 0, [0], 100, guard=1.0)
+        run_batch(cfg, 0, [0], 100)
 
 
 def test_magnitude_guard_trips_indexed_path(monkeypatch):
     monkeypatch.setattr(engine, "_LOCKSTEP_MAX_N", 1)
+    monkeypatch.setattr(engine, "MAGNITUDE_GUARD", 1.0)
     cfg = ModelConfig(
         n=4,
         d=1,
@@ -323,7 +368,7 @@ def test_magnitude_guard_trips_indexed_path(monkeypatch):
         initial=InitialCondition("two_cluster", separation_eps=10.0, sizes=(2, 2)),
     )
     with pytest.raises(RuntimeError, match="exceeded guard"):
-        run_batch(cfg, 0, [0], 100, guard=1.0)
+        run_batch(cfg, 0, [0], 100)
 
 
 def test_trajectory_recorder_strides():
@@ -357,6 +402,12 @@ def test_trajectory_snapshots_and_gap():
     assert rec.snapshot_times[0] == 0
     assert rec.snapshot_times[-1] == sample.t_end
     assert np.all(rec.snapshot_times[:-1] % 25 == 0)
+
+
+def test_recording_strides_need_one_run():
+    for kw in (dict(record_stride=1), dict(snapshot_stride=5)):
+        with pytest.raises(ValueError, match="got 3 runs"):
+            run_batch(_dyadic_cfg(), 0, np.arange(3), 10, **kw)
 
 
 def test_cluster_gap_geometry_and_validation():

@@ -1,9 +1,13 @@
 """Survival estimation, tail fits, and the multiprocess ensemble driver."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import hklab.ensemble as ensemble
+from hklab import walks
+from hklab.engine import BatchResult
 from hklab.ensemble import (
     MIN_FIT_POINTS,
     EnsembleError,
@@ -222,6 +226,52 @@ def test_failed_chunk_keeps_completed_runs(monkeypatch):
     with pytest.raises(EnsembleError, match="runs 0-11 missing") as info:
         run_ensemble(cfg, 12, 300, base_seed=5, workers=1)
     assert info.value.partial is None
+
+
+def test_serial_failed_batch_keeps_other_batches(monkeypatch):
+    # A budget of 4 n^2 cuts 12 runs into three serial batches; the middle
+    # one raises.  The other two come back as the partial result, and the
+    # message names only the failing batch's runs.
+    cfg = _tiny_cfg()
+    full = run_ensemble(cfg, 12, 300, base_seed=5)
+    real = ensemble.run_batch
+    batches = []
+
+    def failing(cfg, base_seed, idxs, horizon, **kwargs):
+        batches.append(list(idxs))
+        if 5 in idxs:
+            raise RuntimeError("batch failed")
+        return real(cfg, base_seed, idxs, horizon, **kwargs)
+
+    monkeypatch.setattr(walks, "_CHUNK_ELEMS", 4 * cfg.n**2)
+    monkeypatch.setattr(ensemble, "run_batch", failing)
+    with pytest.raises(EnsembleError, match="runs 4-7 missing: batch failed$") as info:
+        run_ensemble(cfg, 12, 300, base_seed=5, workers=1)
+    assert batches == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11]]
+    partial = info.value.partial
+    kept = [0, 1, 2, 3, 8, 9, 10, 11]
+    assert partial.samples == [full.samples[i] for i in kept]
+    assert partial.summary.incomplete and partial.summary.runs == 8
+
+
+@pytest.mark.parametrize("n", [2, 10, 128, 300])
+def test_batches_never_exceed_width(monkeypatch, n):
+    # Each batch holds at most max(1, budget // n^2) runs: 10000, 400, 2
+    # and 1 (the indexed path) under a budget of 40 000.
+    budget = 40_000
+    width = max(1, budget // n**2)
+    batches = []
+
+    def fake(cfg, base_seed, idxs, horizon, **kwargs):
+        batches.append(len(idxs))
+        return BatchResult([HittingSample(int(i), True, 1, horizon, 0.0, base_seed) for i in idxs])
+
+    monkeypatch.setattr(walks, "_CHUNK_ELEMS", budget)
+    monkeypatch.setattr(ensemble, "run_batch", fake)
+    cfg = replace(_tiny_cfg(), n=n)
+    res = run_ensemble(cfg, 2 * width + 1, 10, base_seed=0, workers=1)
+    assert [s.run_index for s in res.samples] == list(range(2 * width + 1))
+    assert len(batches) == 3 and max(batches) <= width
 
 
 def test_ensemble_rejects_zero_runs():

@@ -12,7 +12,6 @@ from hklab import noise
 from hklab.noise import (
     FAMILIES,
     NoiseSpec,
-    SeedSchedule,
     noise_block,
     sample_noise,
     uniforms_per_draw,
@@ -242,33 +241,31 @@ def test_single_draw_matches_block(family):
         for run in (0, 2):
             for t in (1, steps // 2, steps):
                 for i in (0, 3):
-                    got = sample_noise(spec, SeedSchedule(17, run), t, i, n, d)
+                    got = sample_noise(spec, 17, run, t, i, n, d)
                     np.testing.assert_array_equal(got, block[run, t - 1, i])
 
 
 def test_single_draw_deterministic():
     spec = NoiseSpec("uniform_ball", 0.25)
-    sched = SeedSchedule(5, 9)
-    a = sample_noise(spec, sched, 3, 1, 4, 2)
-    b = sample_noise(spec, sched, 3, 1, 4, 2)
+    a = sample_noise(spec, 5, 9, 3, 1, 4, 2)
+    b = sample_noise(spec, 5, 9, 3, 1, 4, 2)
     np.testing.assert_array_equal(a, b)
 
 
 def test_draws_differ_across_agents_steps_runs():
     spec = NoiseSpec("uniform_cube", 0.25)
-    base = sample_noise(spec, SeedSchedule(5, 0), 1, 0, 4, 2)
-    assert not np.array_equal(base, sample_noise(spec, SeedSchedule(5, 0), 1, 1, 4, 2))
-    assert not np.array_equal(base, sample_noise(spec, SeedSchedule(5, 0), 2, 0, 4, 2))
-    assert not np.array_equal(base, sample_noise(spec, SeedSchedule(5, 1), 1, 0, 4, 2))
+    base = sample_noise(spec, 5, 0, 1, 0, 4, 2)
+    assert not np.array_equal(base, sample_noise(spec, 5, 0, 1, 1, 4, 2))
+    assert not np.array_equal(base, sample_noise(spec, 5, 0, 2, 0, 4, 2))
+    assert not np.array_equal(base, sample_noise(spec, 5, 1, 1, 0, 4, 2))
 
 
 def test_sample_noise_rejects_bad_indices():
     spec = NoiseSpec("uniform_cube", 0.25)
-    sched = SeedSchedule(0, 0)
     with pytest.raises(ValueError, match="indexed from t = 1"):
-        sample_noise(spec, sched, 0, 0, 4, 2)
+        sample_noise(spec, 0, 0, 0, 0, 4, 2)
     with pytest.raises(ValueError, match="agent index"):
-        sample_noise(spec, sched, 1, 4, 4, 2)
+        sample_noise(spec, 0, 0, 1, 4, 4, 2)
 
 
 def test_validate_accepts_builtin_symmetric_families():
