@@ -23,8 +23,12 @@ the HK runs of the engine included.  The oracles here and the
 projected recursion's T_D share one chunked loop, _censored_hitting:
 each supplies only its per-chunk step math, and the loop owns the
 keys, the chunking, the compaction of stopped runs and the bookkeeping.
-Loops over a fixed set of runs (recurrence profiles, gap paths and
-endpoints, projected trajectories) take their chunks from _noise_chunks.
+Its chunks double from one step, so a run stopping at step T has noise
+drawn through step 2T - 1 at most.  Loops over a fixed set of runs
+(recurrence profiles, gap paths and endpoints, projected trajectories)
+take full-budget chunks from _noise_chunks.  Walks carry their sum
+across chunks (_walk_from), so no sample depends on chunk lengths or
+on which runs share a call.
 """
 
 from __future__ import annotations
@@ -176,6 +180,16 @@ def _noise_chunks(spec: NoiseSpec, keys, t0: int, t1: int, n: int, dim: int):
         t += nsteps
 
 
+def _walk_from(start, steps):
+    """start + steps[:, 0] + ... + steps[:, k] for every k, in place of steps.
+
+    Added left to right from start, not start + cumsum(steps), so every
+    partial sum is that of one long walk wherever a chunk begins.
+    """
+    steps[:, 0] += start
+    return np.cumsum(steps, axis=1, out=steps)
+
+
 def _first_hit(hits: np.ndarray, stat: np.ndarray):
     """(stop, hit, stat at stop) per row of an (A, B) hit mask; stop is -1 without a hit."""
     got = hits.any(axis=1)
@@ -207,14 +221,20 @@ def _step_each(state, xi, t0, step, stops):
 def _censored_hitting(noise, n, dim, start, advance, end_stat, base_seed, run_indices, horizon):
     """Hitting samples of runs that all start from the state start.
 
-    Runs advance in chunks of steps.  advance(state, xi, t0) receives
-    the states of the runs still going and their noise xi, shape
-    (A, B, n, dim), for steps t0+1..t0+B.  Per row it returns the
-    chunk index of the step the run stopped at (-1 if it did not), a
-    hit flag, the statistic at the stop, and the state at the chunk
-    end.  A run that stopped without a hit escaped: it is censored with
-    end_value inf.  Runs still going at the horizon end with
-    end_stat(state).
+    Runs advance in chunks of steps: one step first, then each chunk at
+    most one step longer than all before it together (1, 2, 4, 8, ...),
+    until the noise budget of _chunk_steps caps it.  A run that stops
+    at step T is drawn through step 2T - 1 at most.  advance must not
+    depend on the chunk boundaries: a walk carries its sum with
+    _walk_from, a recursion steps with _step_each.
+
+    advance(state, xi, t0) receives the states of the runs still going
+    and their noise xi, shape (A, B, n, dim), for steps t0+1..t0+B.  Per
+    row it returns the chunk index of the step the run stopped at (-1
+    if it did not), a hit flag, the statistic at the stop, and the state
+    at the chunk end.  A run that stopped without a hit escaped: it is
+    censored with end_value inf.  Runs still going at the horizon end
+    with end_stat(state).
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -230,7 +250,7 @@ def _censored_hitting(noise, n, dim, start, advance, end_stat, base_seed, run_in
     state = np.broadcast_to(start, (runs,) + np.shape(start)).copy()
     t0 = 0
     while alive.size and t0 < horizon:
-        nsteps = _chunk_steps(alive.size, n, w, horizon - t0)
+        nsteps = min(t0 + 1, _chunk_steps(alive.size, n, w, horizon - t0))
         xi = _steps_block(noise, keys[alive], t0, nsteps, n, dim)
         stop, got, value, state = advance(state, xi, t0)
         stopped = stop >= 0
@@ -270,7 +290,7 @@ def first_passage_below(
         raise ValueError("level b must be <= 0")
 
     def advance(u, xi, t0):
-        path = u[:, None] + np.cumsum(xi[:, :, 0, 0], axis=1)
+        path = _walk_from(u, xi[:, :, 0, 0])
         return (*_first_hit(path <= b, path), path[:, -1])
 
     start = float(spec.start_point()[0])
@@ -370,7 +390,7 @@ def recurrence_profile(
     t0 = 0
     for hk, h in enumerate(horizons):
         for _, xi in _noise_chunks(spec.step, keys, t0, int(h), 1, d):
-            path = u[:, None, :] + np.cumsum(xi[:, :, 0, :], axis=1)
+            path = _walk_from(u, xi[:, :, 0, :])
             counts += (sq_norm_last(path) <= r2).sum(axis=1)
             u = path[:, -1, :]
         t0 = int(h)
@@ -429,7 +449,7 @@ def cluster_gap_walk(
     r2 = None if radius is None else float(radius) * float(radius)
 
     def advance(z, xi, t0):
-        zpath = z[:, None, :] + np.cumsum(_cluster_y(xi, n1), axis=1)
+        zpath = _walk_from(z, _cluster_y(xi, n1))
         if radius is None:
             zprev = np.concatenate([z[:, None, :], zpath[:, :-1, :]], axis=1)
             qmin = (
@@ -490,5 +510,5 @@ def cluster_gap_endpoints(
     n = spec.n1 + spec.n2
     z = np.zeros((run_indices.shape[0], spec.dim), dtype=np.float64)
     for _, xi in _noise_chunks(spec.noise, keys, 0, t, n, spec.dim):
-        z += _cluster_y(xi, spec.n1).sum(axis=1)
+        z = _walk_from(z, _cluster_y(xi, spec.n1))[:, -1]
     return z

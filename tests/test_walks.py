@@ -236,29 +236,80 @@ def test_hitting_sample_t_end():
 
 
 def test_oracles_invariant_to_chunk_boundaries(monkeypatch):
-    # Every step is exact (+-1 walk steps; group means of axis signs over
-    # power-of-two groups), so the cumsum walks give the same samples
-    # whatever the chunking; the stretched and projected recursions step
-    # one at a time.  A tiny chunk budget moves every chunk boundary.
+    # No sample may depend on the chunk lengths or on which runs share a
+    # call.  Exact steps (+-1 walk steps; group means of axis signs over
+    # power-of-two groups) round the same in any order; uniform noise
+    # does not, so a sum that restarts at a chunk boundary shows in the
+    # end values.  The stretched and projected recursions step one at a
+    # time.
     idx = np.arange(64)
     signs = NoiseSpec("rademacher_axes", 1.0)
     gap1 = ClusterWalkSpec(n1=2, n2=4, noise=signs, dim=1)
     gap2 = ClusterWalkSpec(n1=2, n2=2, noise=NoiseSpec("rademacher_axes", np.sqrt(2.0)), dim=2)
     proj = ProjectedSystemSpec(dim=1, r=16.0, r0=1.0, map=MapSpec("identity"), noise=signs)
-    calls = (
-        lambda: first_passage_below(WalkSpec(dim=1), -2.0, 4, idx, 300),
-        lambda: stretched_first_passage(StretchedWalkSpec(beta=1.5, bound_m=1.0), 4, idx, 300),
-        lambda: cluster_gap_walk(gap1, [3.0], 4, idx, 300, threshold=0.5),
-        lambda: cluster_gap_walk(gap2, [3.0, 0.0], 4, idx, 300, radius=1.0),
-        lambda: hitting_time_td(proj, 4, idx, 300),
+    cube = ClusterWalkSpec(n1=3, n2=2, noise=NoiseSpec("uniform_cube", 0.5), dim=1)
+    ball = ClusterWalkSpec(n1=2, n2=3, noise=NoiseSpec("uniform_ball", 0.5), dim=3)
+    walk = WalkSpec(dim=2, step=NoiseSpec("uniform_cube", 1.0))
+    hitting = {
+        "first passage": lambda runs: first_passage_below(WalkSpec(dim=1), -2.0, 4, runs, 300),
+        "stretched": lambda runs: stretched_first_passage(
+            StretchedWalkSpec(beta=1.5, bound_m=1.0), 4, runs, 300
+        ),
+        "gap signs": lambda runs: cluster_gap_walk(gap1, [3.0], 4, runs, 300, threshold=0.5),
+        "gap signs ball": lambda runs: cluster_gap_walk(gap2, [3.0, 0.0], 4, runs, 300, radius=1.0),
+        "projected": lambda runs: hitting_time_td(proj, 4, runs, 300),
+        "gap cube": lambda runs: cluster_gap_walk(cube, [2.0], 6, runs, 400, threshold=0.25),
+        "gap ball": lambda runs: cluster_gap_walk(ball, [1.5, 0.0, 0.0], 6, runs, 400, radius=0.5),
+    }
+
+    def recurrence(runs):
+        # The profile's one float is a mean over runs, so each run's end
+        # norm comes from a call of its own; visit counts from the batch.
+        ends = [recurrence_profile(walk, 1.0, [50, 300], 6, [r]).scaled_end_norm for r in runs]
+        visits = recurrence_profile(walk, 1.0, [50, 300], 6, runs).visits
+        return [v.tolist() + e.tolist() for v, e in zip(visits, ends)]
+
+    calls = {
+        name: lambda runs, f=f: [(s.run_index, s.hit, s.t_hit, s.end_value) for s in f(runs)]
+        for name, f in hitting.items()
+    }
+    calls["recurrence"] = recurrence
+    calls["endpoints"] = lambda runs: cluster_gap_endpoints(cube, 300, 6, runs).tolist()
+
+    whole = {name: call(idx) for name, call in calls.items()}
+    for name in hitting:
+        hits = [hit for _, hit, _, _ in whole[name]]
+        assert any(hits) and not all(hits), name
+    # One-step chunks, then chunks of a few steps that split every sum.
+    for budget in (5, 2000):
+        monkeypatch.setattr(walks, "_CHUNK_ELEMS", budget)
+        assert {name: call(idx) for name, call in calls.items()} == whole, budget
+    # Under the last budget a lone run's chunks are 64 times longer.
+    for name, call in calls.items():
+        solo = [row for k in range(idx.size) for row in call(idx[k : k + 1])]
+        assert solo == whole[name], name
+
+
+def test_hitting_draws_at_most_twice_the_steps_used(monkeypatch):
+    # Chunks double from one step, so a run stopping at step T is drawn
+    # through step 2T - 1 at most; the horizon stays below the budget cap.
+    drawn = []
+    steps_block = walks._steps_block
+
+    def counting(step, keys, t0, nsteps, n, d):
+        drawn.append(keys.shape[0] * nsteps)
+        return steps_block(step, keys, t0, nsteps, n, d)
+
+    monkeypatch.setattr(walks, "_steps_block", counting)
+    proj = ProjectedSystemSpec(
+        dim=2, r=4.0, r0=1.0, map=MapSpec("identity"), noise=NoiseSpec("uniform_ball", 1.0)
     )
-
-    def outcomes():
-        return [[(s.run_index, s.hit, s.t_hit, s.end_value) for s in call()] for call in calls]
-
-    whole = outcomes()
-    for samples in whole:
-        assert any(hit for _, hit, _, _ in samples)
-        assert not all(hit for _, hit, _, _ in samples)
-    monkeypatch.setattr(walks, "_CHUNK_ELEMS", 5)
-    assert outcomes() == whole
+    idx = np.arange(200)
+    calls = (
+        lambda: first_passage_below(WalkSpec(dim=1), 0.0, 7, idx, 2000),
+        lambda: hitting_time_td(proj, 7, idx, 2000),
+    )
+    for call in calls:
+        drawn.clear()
+        samples = call()
+        assert 0 < sum(drawn) <= 2 * sum(s.t_end for s in samples)
