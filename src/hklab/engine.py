@@ -324,6 +324,8 @@ def run_batch(
             if recorder and running[0]:
                 recorder.observe(tk, states[:, :, 0], float(dv2[0]), final=bool(deadline[0] == tk))
         t += b
+        # Free this chunk's draws before the next chunk's are drawn.
+        del xi
         if not bounded and np.abs(states).max() > MAGNITUDE_GUARD:
             worst = int(live[np.argmax(np.abs(states).max(axis=(0, 1)))])
             raise RuntimeError(

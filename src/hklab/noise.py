@@ -12,6 +12,13 @@ reads the slice [i*W, (i+1)*W) of the step's uniform stream, where W =
 uniforms_per_draw.  Regenerating the step therefore reproduces any
 single agent's draw bit-identically, regardless of batching or
 execution order.
+
+uniform_ball draws a radius delta * u^(1/d) and an independent uniform
+direction.  For d <= 3 the direction comes from exact low-dimensional
+formulas: a sign for d = 1, an angle for d = 2, and for d = 3 a height
+z = 1 - 2u and an angle around the z axis (by Archimedes, the height of
+a uniform point on the unit sphere is uniform on [-1, 1]).  For d >= 4
+it is a normalized vector of Box-Muller Gaussians.
 """
 
 from __future__ import annotations
@@ -50,36 +57,43 @@ class NoiseSpec:
 def uniforms_per_draw(family: str, d: int) -> int:
     """Uniforms consumed per agent draw."""
     if family == "uniform_ball":
-        # Box-Muller pairs for the direction plus one radius uniform.
-        return 2 * ((d + 1) // 2) + 1
+        # Direction uniforms plus one radius uniform: a sign (d = 1), an
+        # angle (d = 2), a height and an angle (d = 3), else Box-Muller pairs.
+        return {1: 1, 2: 1, 3: 2}.get(d, 2 * ((d + 1) // 2)) + 1
     if family in ("uniform_cube", "rademacher_axes"):
         return d
     raise ValueError(f"unknown noise family: {family}")
 
 
 def _uniforms_to_noise(spec: NoiseSpec, u: np.ndarray, d: int) -> np.ndarray:
-    """Map uniform blocks (..., W) to noise vectors (..., d).
+    """Map uniform blocks (..., W) to noise vectors (..., d), consuming u.
 
-    For uniform_cube the conversion runs in place, so the result aliases
-    u; callers hand over freshly generated buffers and never reread them.
+    Every family writes its result into u's memory and returns a view of
+    it, so callers hand over freshly generated buffers and never reread
+    them.
     """
     if spec.family == "rademacher_axes":
-        c = spec.delta / np.sqrt(d)
-        return np.where(u[..., :d] < 0.5, -c, c)
+        # The sign of u - 0.5 (exact for u in [0, 1)): -c below 0.5, else c.
+        u -= 0.5
+        return np.copysign(spec.delta / np.sqrt(d), u, out=u)
     if spec.family == "uniform_cube":
         c = spec.delta / np.sqrt(d)
-        out = u[..., :d]
-        out *= 2.0 * c
-        out -= c
-        return out
+        u *= 2.0 * c
+        u -= c
+        return u
     if spec.family == "uniform_ball":
-        v = np.empty(u.shape[:-1] + (d,), dtype=np.float64)
-        flat_u, flat_v = u.reshape(-1, u.shape[-1]), v.reshape(-1, d)
-        for lo in range(0, flat_v.shape[0], _BALL_BLOCK):
-            hi = lo + _BALL_BLOCK
+        w = u.shape[-1]
+        flat = u.reshape(-1)
+        flat_u = flat.reshape(-1, w)
+        m = flat_u.shape[0]
+        for lo in range(0, m, _BALL_BLOCK):
+            hi = min(lo + _BALL_BLOCK, m)
             up = np.ascontiguousarray(flat_u[lo:hi].T)
-            flat_v[lo:hi] = _ball_planar(up, d, spec.delta).T
-        return v
+            # The block's draws fill doubles [lo * d, hi * d) of the
+            # buffer; d <= w, so those held uniforms of rows below hi,
+            # all copied into up already.
+            flat[lo * d : hi * d].reshape(-1, d)[:] = _ball_planar(up, d, spec.delta).T
+        return flat[: m * d].reshape(u.shape[:-1] + (d,))
     raise ValueError(f"unknown noise family: {spec.family}")
 
 
@@ -102,8 +116,72 @@ def _even_odd_sq_norm(c: np.ndarray) -> np.ndarray:
     return total
 
 
+def _ascending_sq_norm(c: np.ndarray) -> np.ndarray:
+    """Squared norms of planar vectors c (d, m), added in coordinate order."""
+    total = np.square(c[0])
+    for row in c[1:]:
+        total += np.square(row)
+    return total
+
+
 def _ball_planar(up: np.ndarray, d: int, delta: float) -> np.ndarray:
-    """uniform_ball draws (d, m) from planar uniforms up (W, m), consumed."""
+    """uniform_ball draws (d, m) from planar uniforms up (W, m), consumed.
+
+    The last row of up gives the radius, the rows before it the direction.
+    """
+    c = np.empty((d, up.shape[1]))
+    radius = up[-1]
+    if d == 1:
+        # A sign times a radius delta * u.
+        radius *= delta
+        sign = up[0]
+        sign -= 0.5
+        np.copysign(radius, sign, out=c[0])
+    elif d <= 3:
+        # An angle, and for d = 3 (Archimedes) a height z = 1 - 2 u0,
+        # uniform on [-1, 1], whose circle has radius sqrt(1 - z^2) =
+        # 2 sqrt(u0 (1 - u0)), which keeps its precision near the poles.
+        # The angle lies in [-pi, pi), where numpy's cos and sin take
+        # about a tenth less time per draw than on [0, 2 pi).
+        theta = up[d - 2]
+        theta -= 0.5
+        theta *= _TWO_PI
+        np.cos(theta, out=c[0])
+        np.sin(theta, out=c[1])
+        if d == 3:
+            u0 = up[0]
+            ring = np.subtract(1.0, u0)
+            ring *= u0
+            np.sqrt(ring, out=ring)
+            ring *= 2.0
+            c[:2] *= ring
+            np.multiply(u0, -2.0, out=c[2])
+            c[2] += 1.0
+        (np.sqrt if d == 2 else np.cbrt)(radius, out=radius)
+        radius *= delta
+        c *= radius
+    else:
+        _box_muller_ball(up, c, delta)
+    # Rounding in the direction and scale can overshoot the bound by an
+    # ulp.  Such a draw is scaled by delta / ||v||, and if rounding leaves
+    # it over again, by a margin that doubles from 2^-50 each round, so
+    # ||v|| <= delta holds exactly.  Squares add in ascending coordinate
+    # order, except on the Box-Muller path.
+    sq_norm = _even_odd_sq_norm if d > 3 else _ascending_sq_norm
+    s2 = sq_norm(c)
+    over = np.flatnonzero(s2 > delta * delta)
+    shrink = 0.0
+    while over.size:
+        c[:, over] *= delta / np.sqrt(s2[over]) * (1.0 - shrink)
+        s2[over] = sq_norm(c[:, over])
+        over = over[s2[over] > delta * delta]
+        shrink = max(2.0 * shrink, 2.0**-50)
+    return c
+
+
+def _box_muller_ball(up: np.ndarray, c: np.ndarray, delta: float) -> None:
+    """Fill c (d, m) with ball draws: normalized Box-Muller Gaussians."""
+    d = c.shape[0]
     npairs = (d + 1) // 2
     half = d // 2
     # Box-Muller: pair k gives coordinates 2k (cos) and 2k+1 (sin); the
@@ -116,7 +194,6 @@ def _ball_planar(up: np.ndarray, d: int, delta: float) -> np.ndarray:
     np.log1p(rad, out=rad)
     rad *= -2.0
     np.sqrt(rad, out=rad)
-    c = np.empty((d, up.shape[1]))
     cos, sin = c[0::2], c[1::2]
     np.cos(theta, out=cos)
     cos *= rad
@@ -130,13 +207,6 @@ def _ball_planar(up: np.ndarray, d: int, delta: float) -> np.ndarray:
     radius *= delta
     radius /= nrm
     c *= radius
-    # Rounding in normalize-and-scale can overshoot the bound by an ulp;
-    # rescale those draws so ||v|| <= delta holds exactly.
-    s2 = _even_odd_sq_norm(c)
-    over = s2 > delta * delta
-    if over.any():
-        c[:, over] *= delta / np.sqrt(s2[over])
-    return c
 
 
 def noise_block(spec: NoiseSpec, keys, ts, n: int, d: int) -> np.ndarray:

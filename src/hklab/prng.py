@@ -3,19 +3,20 @@
 Every random draw in this package is a pure function of
 (base_seed, run_index, t, position).  Draws come from the Philox
 counter-based generator: the per-run key is derived from
-(base_seed, run_index) by splitmix64, and the 256-bit counter encodes
-the step t and the block offset inside the step.  Nothing is
+(base_seed, run_index) by splitmix64, and the 256-bit counter addresses
+any offset of the run's stream directly (Salmon et al., SC'11).  Nothing is
 sequential, so draws are bit-identical no matter how runs are batched,
 chunked, or split across worker processes.  One Philox bit generator
 serves a whole block of runs: it is rekeyed for each run by setting its
 key, counter and buffer position, which is the stream a fresh
 Philox(key, counter) would produce.
 
-Stream layout: a step that needs `count` uniforms owns the counter
-blocks [t * bps, (t + 1) * bps) with bps = ceil(count / 4), four
-doubles per block; the trailing pad doubles of the last block are
-discarded.  Step 0 is reserved for initial-condition draws, noise
-starts at t = 1.
+Stream layout: each run owns one stream of doubles, that of a fresh
+Generator(Philox(key=k)); its counter block c holds doubles
+[4c, 4c + 4).  A step t that needs `count` uniforms reads doubles
+[t * count, (t + 1) * count), so steps are packed and no double is
+generated only to be discarded.  Step 0 is reserved for
+initial-condition draws, noise starts at t = 1.
 """
 
 from __future__ import annotations
@@ -49,16 +50,6 @@ def run_keys(base_seed: int, run_indices) -> np.ndarray:
         return splitmix64(base + runs)
 
 
-# Doubles in one block of runs: small enough for a padded block to stay
-# in cache between its fill and its copy into the result.
-_PAD_BLOCK = 1 << 15
-
-
-def blocks_per_step(count: int) -> int:
-    """Counter blocks a step of `count` uniforms occupies."""
-    return (count + 3) // 4
-
-
 def uniforms_at(keys, ts, count: int) -> np.ndarray:
     """Uniform [0, 1) doubles for a block of runs and steps.
 
@@ -74,11 +65,11 @@ def uniforms_at(keys, ts, count: int) -> np.ndarray:
 
     Returns
     -------
-    (A, B, count) float64 in [0, 1).
+    (A, B, count) C-contiguous float64 in [0, 1).
 
     One Philox generator is built per call and rekeyed for each run;
-    every double equals the one a fresh Generator(Philox(key=k,
-    counter=ts[0] * bps)) would return at that position.
+    run a's row holds doubles [ts[0] * count, (ts[-1] + 1) * count) of
+    the stream of a fresh Generator(Philox(key=keys[a])).
     """
     keys = np.asarray(keys, dtype=np.uint64)
     ts = np.asarray(ts, dtype=np.uint64)
@@ -87,34 +78,28 @@ def uniforms_at(keys, ts, count: int) -> np.ndarray:
         return np.empty((nruns, nsteps, max(count, 0)), dtype=np.float64)
     if not np.all(ts[1:] == ts[:-1] + np.uint64(1)):
         raise ValueError("ts must be consecutive ascending steps")
-    bps = blocks_per_step(count)
-    width = 4 * bps
-    out = np.empty((nruns, nsteps, count), dtype=np.float64)
-    bitgen = Philox(key=0, counter=int(ts[0]) * bps)
+    block, skip = divmod(int(ts[0]) * count, 4)
+    bitgen = Philox(key=0, counter=block)
     gen = Generator(bitgen)
-    # Philox(key=k, counter=t0 * bps) starts from this state with its
-    # first key word set to k: the counter is set and the buffer empty.
-    # Its words become plain ints, which the state setter reads far
-    # faster than numpy arrays.
+    # Philox(key=k, counter=block) starts from this state with its first
+    # key word set to k: the counter is set and the buffer empty.  Its
+    # words become plain ints, which the state setter reads far faster
+    # than numpy arrays.
     state = bitgen.state
     state["state"] = {name: words.tolist() for name, words in state["state"].items()}
     state["buffer"] = state["buffer"].tolist()
     key = state["state"]["key"]
-    keys = keys.tolist()
-    # Each run fills its rows of a cache-sized block of runs: the result
-    # itself when no step ends in pad doubles, else a padded block that
-    # is copied into the result without them.
-    per = max(1, _PAD_BLOCK // (nsteps * width))
-    pad = None if width == count else np.empty((min(per, nruns), nsteps, width))
-    for lo in range(0, nruns, per):
-        rows = out[lo : lo + per] if pad is None else pad[: min(per, nruns - lo)]
-        for k, row in zip(keys[lo : lo + per], rows):
-            key[0] = k
-            bitgen.state = state
-            gen.random(out=row)
-        if pad is not None:
-            out[lo : lo + per] = rows[:, :, :count]
-    return out
+    # Each run's generated doubles begin `skip` doubles before its first
+    # step.  Runs are filled last to first, so those leading doubles land
+    # in the tail of the previous run's rows, which is written after
+    # them; the first run's land in `skip` spare doubles before the result.
+    per_run = nsteps * count
+    flat = np.empty(skip + nruns * per_run, dtype=np.float64)
+    for a, k in zip(range(nruns - 1, -1, -1), reversed(keys.tolist())):
+        key[0] = k
+        bitgen.state = state
+        gen.random(out=flat[a * per_run : (a + 1) * per_run + skip])
+    return flat[skip:].reshape(nruns, nsteps, count)
 
 
 def uniforms_for_step(key: int, t: int, count: int) -> np.ndarray:

@@ -5,6 +5,7 @@ are small dyadic rationals), so the lockstep batch path and the
 per-run indexed path must agree bit for bit over short horizons.
 """
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -55,6 +56,21 @@ def _sample_tuple(s):
     return (s.run_index, s.hit, s.t_hit, s.horizon, s.end_value, s.base_seed)
 
 
+def _first_run(cfg, base_seed, horizon, accept, runs=32, **kw):
+    """Sample of the first of `runs` runs for which accept(sample, absorb_ok) holds.
+
+    Tests that need a run with some property (a hit after a given step,
+    a censored end) search for one instead of fixing its index, so a
+    change to the noise streams cannot silently void their precondition.
+    """
+    res = run_batch(cfg, base_seed, np.arange(runs), horizon, **kw)
+    absorb = [None] * runs if res.absorb_ok is None else res.absorb_ok.tolist()
+    for sample, ok in zip(res.samples, absorb):
+        if accept(sample, ok):
+            return sample
+    raise AssertionError(f"none of {runs} runs meets the test's precondition")
+
+
 def test_hit_at_time_zero():
     cfg = ModelConfig(
         n=3,
@@ -78,8 +94,7 @@ def test_t_end_property():
     else:
         assert s.t_end == s.horizon
     # A censored HK run carries t_hit = horizon, as the oracles' runs do.
-    censored = run_batch(_dyadic_cfg(), 801, [0], horizon=100).samples[0]
-    assert not censored.hit
+    censored = _first_run(_dyadic_cfg(), 801, 100, lambda s, ok: not s.hit)
     assert censored.t_hit == censored.t_end == censored.horizon == 100
 
 
@@ -218,7 +233,9 @@ def test_indexed_trajectory_replays_lockstep_snapshots(monkeypatch):
     # coordinate-range prune settled d_V > epsilon and the lockstep value
     # elsewhere: at a hit, through the audit, and at a censored horizon.
     cfg = _dyadic_cfg()
-    cases = [(9, 0, 200), (801, 0, 100)]
+    hit = _first_run(cfg, 9, 200, lambda s, ok: s.hit, extra_after_hit=5)
+    censored = _first_run(cfg, 801, 100, lambda s, ok: not s.hit, extra_after_hit=5)
+    cases = [(9, hit.run_index, 200), (801, censored.run_index, 100)]
     kw = dict(extra_after_hit=5, record_stride=1, snapshot_stride=1)
 
     def trajectories():
@@ -261,17 +278,21 @@ def test_hk_step_replays_lockstep_snapshots_bitwise(monkeypatch):
     )
     d1 = _bounded_cfg(n=10, d=1)
     loose = replace(d3, noise=NoiseSpec("uniform_ball", 0.6), allow_large_delta=True)
-    cases = (
-        (d3, 1, 100, 0),
-        (d1, 2, 50, 0),
-        (d3, 1, 100, 60),
-        (d1, 2, 50, 60),
-        (loose, 0, 100, 60),
-    )
-    for cfg, run_index, min_steps, extra in cases:
+    cases = ((d3, 100, 0), (d1, 50, 0), (d3, 100, 60), (d1, 50, 60), (loose, 100, 60))
+    for cfg, min_steps, extra in cases:
+        # A run that hits after min_steps; with an audit, one that stays
+        # synchronized through it, except on the loose config.
+        found = _first_run(
+            cfg,
+            17,
+            1000,
+            lambda s, ok: s.hit and s.t_end > min_steps and ok in (None, cfg is not loose),
+            extra_after_hit=extra,
+        )
+        run_index = found.run_index
         res = run_batch(cfg, 17, [run_index], 1000, extra_after_hit=extra, snapshot_stride=1)
         sample, rec = res.samples[0], res.record
-        assert sample.hit and sample.t_end > min_steps
+        assert _sample_tuple(sample) == _sample_tuple(found)
         if extra:
             assert bool(res.absorb_ok[0]) == (cfg is not loose)
         steps = sample.t_end + extra
@@ -283,6 +304,32 @@ def test_hk_step_replays_lockstep_snapshots_bitwise(monkeypatch):
         for t in range(1, steps + 1):
             x = hk_step(x, xi[t - 1], cfg.epsilon, cfg.space_mode)
             np.testing.assert_array_equal(rec.snapshots[t], x)
+
+
+def test_batch_holds_one_noise_chunk_at_a_time(monkeypatch):
+    # Each chunk's draws are freed before the next chunk's are drawn, so
+    # the traced peak of a batch of many chunks is one chunk of uniforms
+    # plus the uniform_ball transform's planar scratch (as in
+    # tests/test_noise.py) and an allowance for states and interpreter
+    # objects; two chunks alive at once would exceed it.
+    monkeypatch.setattr(walks, "_CHUNK_ELEMS", 200_000)
+    cfg = ModelConfig(
+        n=4,
+        d=3,
+        epsilon=0.5,
+        space_mode="unbounded",
+        noise=NoiseSpec("uniform_ball", 0.25),
+        initial=InitialCondition("two_cluster", separation_eps=10.0, sizes=(2, 2)),
+    )
+    run_batch(cfg, 3, np.arange(100), 2000)
+    tracemalloc.start()
+    try:
+        run_batch(cfg, 3, np.arange(100), 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    chunk, scratch = 200_000 * 8, (3 + 2 * 3 + 2) * 8192 * 8
+    assert peak <= chunk + scratch + (64 << 10)
 
 
 def test_translated_start_gives_same_stopping_times():
@@ -373,7 +420,10 @@ def test_magnitude_guard_trips_indexed_path(monkeypatch):
 
 def test_trajectory_recorder_strides():
     cfg = _dyadic_cfg()
-    sample, rec = run_trajectory(cfg, horizon=100, base_seed=801, record_stride=7)
+    run_index = _first_run(cfg, 801, 100, lambda s, ok: not s.hit).run_index
+    sample, rec = run_trajectory(
+        cfg, horizon=100, base_seed=801, run_index=run_index, record_stride=7
+    )
     assert not sample.hit
     assert rec.times[0] == 0 and rec.times[-1] == 100
     interior = rec.times[:-1]

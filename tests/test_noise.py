@@ -2,8 +2,14 @@
 
 NOISE_GOLDEN below was generated once and frozen, as tests/test_prng.py
 freezes its uniforms: every published sample depends on these bits, so
-a transform may be rewritten for speed only if it reproduces them.
+a transform may be rewritten for speed only if it reproduces them.  It
+was last re-frozen when steps were packed into the Philox stream and
+uniform_ball took exact low-dimensional directions for d <= 3; the
+(n, d) = (2, 2) cube and axis-sign draws, four uniforms per step,
+already filled whole counter blocks and kept their values.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,60 +23,60 @@ from hklab.noise import (
     uniforms_per_draw,
     validate_noise_spec,
 )
-from hklab.prng import run_keys
+from hklab.prng import run_keys, uniforms_at
 
 # noise_block(NoiseSpec(family, 0.3), run_keys(2026, [0, 5]), [1, 2], 2, d),
 # flattened to one row per draw.  rademacher_axes rows are signs.
 NOISE_GOLDEN = {
     ("uniform_ball", 1): [
-        [-0.04758260215884249],
-        [-0.08077104406479405],
-        [-0.13364403691271584],
-        [-0.11637745238507435],
-        [0.0915526574239195],
-        [-0.2711417008072598],
-        [0.24346591449522492],
-        [-0.2881833686021749],
+        [0.29664230920954],
+        [-0.1276508532519041],
+        [-0.14886785060578095],
+        [-0.20699146299671697],
+        [0.07931836479023889],
+        [-0.24108818355310815],
+        [0.29275627971093493],
+        [-0.09503920121827836],
     ],
     ("uniform_ball", 2): [
-        [-0.11944352742721691, 0.002832737791682816],
-        [-0.014212818722456794, -0.15501389938776716],
-        [-0.06904490135171235, 0.18795215527135373],
-        [-0.17125424521239999, -0.07473432419078581],
-        [0.16382449171706456, -0.02504661934915135],
-        [-0.0821977894002778, 0.2731044372760822],
-        [0.11615966842449954, -0.2440219370877909],
-        [-0.2887169967537454, -0.05565524563013118],
+        [-0.19454563692770072, 0.22615191335749793],
+        [-0.18376975345936297, -0.06726019394155935],
+        [-0.1270003216544191, -0.16891202882390696],
+        [-0.135358788239913, -0.20922580468297278],
+        [0.008360401967954087, 0.15403120825341174],
+        [-0.23786866824876451, -0.12547888958502806],
+        [0.195500479206188, 0.22272504696021805],
+        [0.05737251767707962, -0.1588085469390004],
     ],
     ("uniform_ball", 3): [
-        [-0.03147860355315592, 0.2591673683183541, -0.14479358964170275],
-        [-0.09968241157679343, 0.03554855471854288, -0.1914964974988887],
-        [0.07069194054227987, 0.23361307577828808, 0.035993233323813593],
-        [-0.05671351220193203, -0.24372845454684455, -0.007975433511366677],
-        [0.025383322838133444, -0.017530377479237427, -0.05859351343444499],
-        [0.09570383115818026, -0.23499448207979892, -0.15244425554503507],
-        [0.10308081562629426, 0.18771677261442166, 0.18311832001437037],
-        [-0.05312937032227887, -0.03132010788719218, -0.2222967869642881],
+        [0.06494613487214308, -0.032833656285111965, 0.14077171574136635],
+        [-0.14399106944452408, -0.22256883179461687, 0.0020008327803272335],
+        [0.022249942502423646, -0.18318662179058767, -0.09850035333901924],
+        [-0.20119771422271462, 0.018467354435000385, -0.007056142347473409],
+        [-0.04553146207819037, 0.12997511836536202, 0.2180545502149144],
+        [0.021332889053236402, -0.059049964159213264, -0.19463415687176333],
+        [-0.21131833908358, 0.14594189563138613, 0.1144109084201578],
+        [-0.2760123634488821, -0.01867819779543254, -0.0485876784536999],
     ],
     ("uniform_ball", 5): [
-        [-0.08113269775208472, 0.2208572263403698, 0.0050918035617099015, -0.08771028951490939, -0.07961187401104629],
-        [-0.15883374564251385, 0.12825590789455826, -0.04148584970488373, 0.04264542960730491, -0.14290371091960338],
-        [-0.1410625058397112, -0.0790051216841059, 0.10896874903313356, -0.14742725615490315, 0.1382308394081956],
-        [0.016580848224086595, -0.08180499009245822, -0.05010646208758061, -0.1398286956687597, -0.10866933691838475],
-        [0.008357559005035455, -0.01755710708712837, -0.23849637277016147, 0.03850254355202709, 0.15760817129111354],
-        [0.03287725545989601, 0.15025847948433946, 0.011186741066606571, -0.08061237895815215, 0.04144043933588872],
-        [-0.18463930786784372, 0.05399661097645074, -0.10797734875219074, 0.04827818947931786, -0.05067648694534971],
-        [0.11150084594855762, 0.1309065857970252, -0.05750064775883516, 0.005221725300736906, -0.08117354889076647],
+        [-0.07943030239155481, -0.008744587632484166, -0.08807049032958336, 0.23974309687154888, 0.005527212193929387],
+        [-0.10923408409407173, -0.01552935284413173, -0.20038427705419629, 0.1618073494232424, -0.052338449662973005],
+        [-0.14193432579917875, 0.041959719910801774, 0.1235985368700256, 0.13580274791731983, -0.16617463947507607],
+        [0.21069587801650846, -0.015669316402105237, -0.039779928840146264, -0.19911170269706174, 0.026338669930536827],
+        [-0.16216962180991062, -0.09797100381288672, 0.006433989076008201, -0.013516175612619665, -0.1836042145973804],
+        [0.09595226450691181, -0.17164386054158856, 0.01907172459945738, 0.08716324703423413, 0.006489302157475022],
+        [0.14632201974976566, 0.07499335861121442, -0.073583545900766, -0.08977030874660755, -0.10060620356280696],
+        [0.07971658433071904, 0.08276083139948857, -0.014666158980702056, 0.09956392320205487, 0.1845248369724898],
     ],
     ("uniform_cube", 1): [
+        [0.2475709455289387],
+        [0.03671430147050592],
         [0.21783923148018342],
         [0.29328461841908],
-        [-0.21156416978901668],
-        [-0.0022642987884380905],
+        [0.0370119183657609],
+        [0.05096498371717706],
         [0.14482197812354614],
         [-0.1413632704195222],
-        [0.08120739717038383],
-        [0.28551255942186987],
     ],
     ("uniform_cube", 2): [
         [0.15403559778810377, 0.2073835425018405],
@@ -83,34 +89,34 @@ NOISE_GOLDEN = {
         [-0.08265702455575946, -0.07772630703596942],
     ],
     ("uniform_cube", 3): [
-        [-0.12214663037856847, -0.0013072935150304776, -0.11826142442658658],
-        [0.06580807300533031, 0.08156164406592331, -0.0799387126898158],
-        [0.16815873270055043, -0.06719299637211823, -0.018886239382598174],
-        [0.0897995554995542, 0.022686177625818704, -0.038823973832636666],
-        [0.04688511261650993, 0.16484075303923562, -0.0674891779394367],
-        [-0.06346326394300769, -0.07048434867218935, 0.1398823871423211],
-        [-0.1694798296007887, 0.11109705726531699, 0.10792514178774532],
-        [-0.00882444524420628, 0.010499046167847165, 0.15956041011998995],
+        [-0.15386119726859623, -0.025806571782343246, -0.12214663037856847],
+        [-0.0013072935150304776, -0.11826142442658658, 0.06580807300533031],
+        [0.08156164406592331, -0.0799387126898158, -0.05577910115551718],
+        [0.006045308326687343, 0.16815873270055043, -0.06719299637211823],
+        [-0.14644273681335285, 0.10517957458876209, 0.04688511261650993],
+        [0.16484075303923562, -0.0674891779394367, -0.06346326394300769],
+        [-0.07048434867218935, 0.1398823871423211, 0.1119183906575516],
+        [0.02996187725264607, -0.1694798296007887, 0.11109705726531699],
     ],
     ("uniform_cube", 5): [
-        [0.0631773778313236, -0.06192026059298321, -0.043206305968347375, 0.004682675694389821, 0.13025519425371523],
-        [-0.05204747118619785, -0.014629218120257872, 0.0695584365893204, 0.017572637626779825, -0.030072920817478865],
-        [-0.029009526077742098, -0.07963081945171795, -0.03412959501013417, 0.07361037761691092, 0.01507594504071083],
-        [-0.01227537181785382, 0.05731852005826368, -0.0986153357776953, 0.06427037313197737, 0.021803119888269773],
-        [-0.05459694171513324, 0.10835243116598961, 0.08669161263020658, 0.02320837032412182, -0.13127851151238507],
-        [0.08605541052024485, 0.08359845535620236, -0.006835385894066043, 0.008132526191826972, 0.12359496222174926],
-        [-0.07628127962694492, -0.08852778473236975, 0.07297079300117684, -0.08220103117280234, 0.08816527821516779],
-        [-0.11393797151197954, 0.022747985384333258, 0.037758971169758765, 0.00313117766667681, -0.01215021864730445],
+        [-0.09160490546058735, 0.050974714159129214, 0.0631773778313236, -0.06192026059298321, -0.043206305968347375],
+        [0.004682675694389821, 0.13025519425371523, -0.05204747118619785, -0.014629218120257872, 0.0695584365893204],
+        [0.017572637626779825, -0.030072920817478865, 0.006030884607229781, 0.11567544743699873, -0.029009526077742098],
+        [-0.07963081945171795, -0.03412959501013417, 0.07361037761691092, 0.01507594504071083, -0.01227537181785382],
+        [-0.052276892441733475, -0.04915843286944688, -0.05459694171513324, 0.10835243116598961, 0.08669161263020658],
+        [0.02320837032412182, -0.13127851151238507, 0.08605541052024485, 0.08359845535620236, -0.006835385894066043],
+        [0.008132526191826972, 0.12359496222174926, 0.08885093735731484, -0.003708481624096982, -0.07628127962694492],
+        [-0.08852778473236975, 0.07297079300117684, -0.08220103117280234, 0.08816527821516779, -0.11393797151197954],
     ],
     ("rademacher_axes", 1): [
         [1],
         [1],
-        [-1],
-        [-1],
-        [1],
-        [-1],
         [1],
         [1],
+        [1],
+        [1],
+        [1],
+        [-1],
     ],
     ("rademacher_axes", 2): [
         [1, 1],
@@ -124,23 +130,23 @@ NOISE_GOLDEN = {
     ],
     ("rademacher_axes", 3): [
         [-1, -1, -1],
-        [1, 1, -1],
+        [-1, -1, 1],
         [1, -1, -1],
         [1, 1, -1],
-        [1, 1, -1],
-        [-1, -1, 1],
         [-1, 1, 1],
+        [1, -1, -1],
         [-1, 1, 1],
+        [1, -1, 1],
     ],
     ("rademacher_axes", 5): [
-        [1, -1, -1, 1, 1],
+        [-1, 1, 1, -1, -1],
+        [1, 1, -1, -1, 1],
+        [1, -1, 1, 1, -1],
         [-1, -1, 1, 1, -1],
         [-1, -1, -1, 1, 1],
-        [-1, 1, -1, 1, 1],
-        [-1, 1, 1, 1, -1],
-        [1, 1, -1, 1, 1],
-        [-1, -1, 1, -1, 1],
-        [-1, 1, 1, 1, -1],
+        [1, -1, 1, 1, -1],
+        [1, 1, 1, -1, -1],
+        [-1, 1, -1, 1, -1],
     ],
 }
 
@@ -201,10 +207,11 @@ def test_empirical_mean_near_zero(family):
 
 
 def test_uniforms_per_draw_counts():
-    assert uniforms_per_draw("uniform_ball", 1) == 3
-    assert uniforms_per_draw("uniform_ball", 2) == 3
-    assert uniforms_per_draw("uniform_ball", 3) == 5
+    assert uniforms_per_draw("uniform_ball", 1) == 2
+    assert uniforms_per_draw("uniform_ball", 2) == 2
+    assert uniforms_per_draw("uniform_ball", 3) == 3
     assert uniforms_per_draw("uniform_ball", 4) == 5
+    assert uniforms_per_draw("uniform_ball", 5) == 7
     for d in (1, 2, 3, 7):
         assert uniforms_per_draw("uniform_cube", d) == d
         assert uniforms_per_draw("rademacher_axes", d) == d
@@ -285,3 +292,124 @@ def test_validate_absorbing_constraint():
     assert any("delta exceeds epsilon/2" in p for p in msgs)
     assert validate_noise_spec(spec, epsilon=0.5, allow_large_delta=True) == []
     assert validate_noise_spec(spec, epsilon=0.6) == []
+
+
+# ---------------------------------------------------------------------------
+# uniform_ball draws: the law of the radius and of the direction
+# ---------------------------------------------------------------------------
+
+
+def _ball_draws(d, runs=256, steps=16, n=8, delta=1.0):
+    """uniform_ball draws of an ensemble, one row per draw."""
+    return _block(NoiseSpec("uniform_ball", delta), d, runs, steps, n, seed=23).reshape(-1, d)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_ball_radius_ks(d):
+    # ||v|| / delta has CDF r^d.  Kolmogorov-Smirnov statistic against
+    # the 0.1% critical value, 1.95 / sqrt(N).
+    r = np.sort(np.sqrt(np.sum(_ball_draws(d, delta=0.3) ** 2, axis=-1)) / 0.3)
+    cdf = r**d
+    m = r.size
+    ks = max(np.max(np.arange(1, m + 1) / m - cdf), np.max(cdf - np.arange(m) / m))
+    assert ks < 1.95 / np.sqrt(m)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_ball_direction_moments(d):
+    # E[x_i] = 0, E[x_i^2 / r^2] = 1/d and E[x_i x_j] = 0 for i != j.
+    # Every averaged quantity is bounded by 1, so 5 / sqrt(N) is at least
+    # 5 standard errors.
+    x = _ball_draws(d)
+    tol = 5.0 / np.sqrt(x.shape[0])
+    r2 = np.sum(x * x, axis=-1, keepdims=True)
+    np.testing.assert_array_less(np.abs(x.mean(axis=0)), tol)
+    np.testing.assert_array_less(np.abs((x * x / r2).mean(axis=0) - 1.0 / d), tol)
+    for i in range(d):
+        for j in range(i):
+            assert abs(np.mean(x[:, i] * x[:, j])) < tol
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_ball_norm_bound_exact_near_one(d):
+    # Radius uniforms within 63 ulps of 1 put every draw on the boundary,
+    # where rounding in the direction and scale overshoots delta unless
+    # the transform rescales; ||v||, squares added in coordinate order,
+    # must still not exceed delta.
+    w = uniforms_per_draw("uniform_ball", d)
+    for delta in (0.1, 0.25, 0.3, 1.0 / 3.0, 0.37, 0.7, 1.0, 2.5):
+        u = uniforms_at(run_keys(41, np.arange(50)), np.arange(1, 41), 100 * w)
+        u = u.reshape(-1, w)
+        u[:, -1] = 1.0 - (1 + np.arange(u.shape[0]) % 63) * 2.0**-53
+        u[:64, :-1] = np.array([0.0, 0.25, 0.5, 1.0 - 2.0**-53]).repeat(16)[:, None]
+        v = noise._uniforms_to_noise(NoiseSpec("uniform_ball", delta), u, d)
+        norms = np.sqrt(np.sum(v * v, axis=-1))
+        assert np.all(norms <= delta)
+        assert norms.min() > delta * (1.0 - 1e-14)
+
+
+def test_ball_d1_sign_independent_of_radius():
+    # At d = 1 the sign and the radius come from different uniforms: in
+    # each quarter of the radius range about half of the draws are
+    # positive, within 5 binomial standard errors.
+    x = _ball_draws(1)[:, 0]
+    r = np.abs(x)
+    for lo in (0.0, 0.25, 0.5, 0.75):
+        sel = x[(r >= lo) & (r < lo + 0.25)]
+        assert sel.size > 1000
+        assert abs(np.mean(sel > 0) - 0.5) < 5.0 * 0.5 / np.sqrt(sel.size)
+
+
+# _uniforms_to_noise on the uniforms (k * 7 + j * 3) % 11 / 11 of row k,
+# column j, then a row of zeros and a row of 1 - 2^-53, at delta = 0.3:
+# the Box-Muller transform of d >= 4, frozen before the d <= 3 draws
+# changed and unchanged since.
+BOX_MULLER_GOLDEN = {
+    4: [
+        [-0.0, 0.0, 0.06843137575603235, -0.14984381143088774],
+        [0.21290071524837142, -0.1368229817013552, -0.10815071376913724, 0.031755914792812936],
+        [-0.0886815850622903, -0.026039262810055717, 0.1798976478440263, 0.11561319815372624],
+        [0.0, 0.0, 0.0, 0.0],
+        [0.21213203435596426, -2.403684584161826e-16, 0.21213203435596426, -2.403684584161826e-16],
+    ],
+    5: [
+        [-0.0, 0.0, 0.11101197277384853, -0.24308231320965434, -0.06084391091366715],
+        [0.1235171221776734, -0.07937963443572385, -0.06274504484703601, 0.018423607467695745, 0.1663977819054817],
+        [-0.10703398079811678, -0.03142801240698348, 0.21712694209783218, 0.13953901277816447, -0.0870297486946264],
+        [0.0, 0.0, 0.0, 0.0, 0.0],
+        [0.17320508075688773, -1.9626002445968139e-16, 0.17320508075688773, -1.9626002445968139e-16, 0.17320508075688773],
+    ],
+}
+
+
+@pytest.mark.parametrize("d", [4, 5])
+def test_box_muller_transform_unchanged(d):
+    w = uniforms_per_draw("uniform_ball", d)
+    rows = [[(k * 7 + j * 3) % 11 / 11.0 for j in range(w)] for k in range(3)]
+    u = np.array(rows + [[0.0] * w, [1.0 - 2.0**-53] * w])
+    got = noise._uniforms_to_noise(NoiseSpec("uniform_ball", 0.3), u, d)
+    np.testing.assert_array_equal(got, np.array(BOX_MULLER_GOLDEN[d]))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_noise_block_memory_peak(family, d):
+    # The transform writes its draws into the uniform block: the traced
+    # peak is the block itself, plus for uniform_ball the planar scratch
+    # of one 8192-draw block (its uniforms, its draws, and a few vectors
+    # of norms), plus an allowance for interpreter objects.  A separate
+    # result array, (draws, d) doubles, would exceed it.
+    spec = NoiseSpec(family, 0.3)
+    keys, ts, n = run_keys(3, np.arange(100)), np.arange(1, 201), 4
+    w = uniforms_per_draw(family, d)
+    draws = keys.size * ts.size * n
+    scratch = (w + 2 * d + 2) * min(draws, noise._BALL_BLOCK) * 8 if family == "uniform_ball" else 0
+    assert draws * d * 8 > scratch + (32 << 10)
+    noise_block(spec, keys, ts, n, d)
+    tracemalloc.start()
+    try:
+        noise_block(spec, keys, ts, n, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= draws * w * 8 + scratch + (32 << 10)

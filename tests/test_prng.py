@@ -2,16 +2,18 @@
 
 The golden arrays below were generated once from this implementation and
 frozen.  They guard against accidental changes to the key schedule or the
-counter layout: any edit that shifts which uniform lands at (run, step, slot)
+stream layout: any edit that shifts which uniform lands at (run, step, slot)
 breaks reproducibility of every published result, so these tests must never
-be regenerated casually.
+be regenerated casually.  They were last re-frozen when steps were packed
+into the stream (step t of `count` uniforms reads doubles
+[t * count, (t + 1) * count)); step 0's draws kept their values.
 """
 
 import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 
-from hklab.prng import blocks_per_step, run_keys, splitmix64, uniforms_at, uniforms_for_step
+from hklab.prng import run_keys, splitmix64, uniforms_at, uniforms_for_step
 
 # Known answers, frozen.  See module docstring.
 KEYS_BASE0 = [0xA706DD2F4D197E6F, 0x2A98F501AF37E97F, 0x82876E1C4F0B438C]
@@ -20,8 +22,8 @@ KEY_12345_RUN7 = 0xFBDF4C68FA8AFDEC
 UNIFORMS_KEY0_T012_C5 = np.array(
     [
         [0.8535001692919197, 0.6193152283162884, 0.6815260578407656, 0.7488928857690932, 0.007675642011268247],
-        [0.871440452208476, 0.25446192160747916, 0.36233544803321516, 0.2499019966358096, 0.29226411658614315],
-        [0.35238422374403067, 0.48280186823747673, 0.12058953406254136, 0.42821544576522763, 0.8701767914047465],
+        [0.03077062341775294, 0.44111347139100476, 0.38122391521422627, 0.871440452208476, 0.25446192160747916],
+        [0.36233544803321516, 0.2499019966358096, 0.29226411658614315, 0.26349127763997593, 0.9562403767659627],
     ]
 )
 
@@ -88,20 +90,16 @@ def test_per_run_streams_independent_of_batching():
 
 
 def test_count_prefix_consistency():
-    # A draw of k uniforms per step is a prefix of a draw of k' > k only when
-    # both fit in the same number of 4-wide counter blocks.
+    # Step 0 starts every count at the stream's first double, so a draw of
+    # k uniforms there is a prefix of a draw of k' > k.  Later steps start
+    # at t * count: step 1 of 3 uniforms reads doubles 3-5, of 4 reads 4-7.
     keys = run_keys(5, [0])
     u3 = uniforms_at(keys, [0, 1], 3)
     u4 = uniforms_at(keys, [0, 1], 4)
-    np.testing.assert_array_equal(u3, u4[:, :, :3])
-
-
-def test_blocks_per_step():
-    assert blocks_per_step(1) == 1
-    assert blocks_per_step(4) == 1
-    assert blocks_per_step(5) == 2
-    assert blocks_per_step(8) == 2
-    assert blocks_per_step(9) == 3
+    np.testing.assert_array_equal(u3[:, 0], u4[:, 0, :3])
+    stream = uniforms_at(keys, [0], 8)[0, 0]
+    np.testing.assert_array_equal(u3[0, 1], stream[3:6])
+    np.testing.assert_array_equal(u4[0, 1], stream[4:8])
 
 
 def test_uniforms_for_step_matches_block():
@@ -127,17 +125,18 @@ def test_empty_requests():
     assert u.shape == (2, 2, 0)
 
 
-def _fresh_reference(key, ts, count):
-    """The stream of a freshly seeded Philox for one run, steps ts."""
-    bps = blocks_per_step(count)
-    gen = Generator(Philox(key=int(key), counter=int(ts[0]) * bps))
-    return gen.random(len(ts) * 4 * bps).reshape(len(ts), 4 * bps)[:, :count]
+def _fresh_stream(key, size):
+    """The first `size` doubles of a freshly seeded Philox for one run."""
+    return Generator(Philox(key=int(key))).random(size)
 
 
 def test_uniforms_match_fresh_philox_per_run():
-    # Keys at and above 2^63 as well as below; counts 1-9 cover every
-    # padding of the last 4-wide block.  Calls run back to back, and each
-    # run follows another run's rekeyed state, so leaked state would show.
+    # Step t of `count` uniforms is the slice [t * count, (t + 1) * count)
+    # of the run's fresh stream.  Keys at and above 2^63 as well as below;
+    # starts t0 at every residue mod 4, so every count starts at each
+    # offset it can have inside a 4-double counter block.  Calls run back
+    # to back, and each run follows another run's rekeyed state, so
+    # leaked state would show.
     keys = np.concatenate(
         [
             run_keys(2024, np.arange(6)),
@@ -145,21 +144,31 @@ def test_uniforms_match_fresh_philox_per_run():
         ]
     )
     assert (keys >= np.uint64(2**63)).any() and (keys < np.uint64(2**63)).any()
-    for count in range(1, 10):
-        for t0, nsteps in ((0, 1), (1, 3), (37, 17), (123_456, 5)):
+    starts = ((0, 1), (1, 3), (2, 2), (3, 5), (37, 17), (123_458, 5))
+    assert {t0 % 4 for t0, _ in starts} == {0, 1, 2, 3}
+    for count in (1, 2, 3, 5, 7, 10):
+        size = max(t0 + nsteps for t0, nsteps in starts) * count
+        streams = {int(key): _fresh_stream(key, size) for key in keys}
+        for t0, nsteps in starts:
             ts = np.arange(t0, t0 + nsteps)
             for order in (keys, keys[::-1]):
                 got = uniforms_at(order, ts, count)
-                assert got.shape == (order.size, nsteps, count)
+                assert got.shape == (order.size, nsteps, count) and got.flags.c_contiguous
                 for a, key in enumerate(order):
-                    np.testing.assert_array_equal(got[a], _fresh_reference(key, ts, count))
-    # 3000 runs of 17 steps fill several cache-sized blocks wherever the
-    # count leaves padding (counts 1, 2 and 5); the result is still one
-    # C-contiguous (A, B, count) array.
-    many = run_keys(7, np.arange(3000))
-    ts = np.arange(40, 57)
-    for count in (1, 2, 4, 5, 20):
-        got = uniforms_at(many, ts, count)
-        assert got.shape == (many.size, ts.size, count) and got.flags.c_contiguous
-        want = np.stack([_fresh_reference(key, ts, count) for key in many])
-        np.testing.assert_array_equal(got, want)
+                    want = streams[int(key)][t0 * count : (t0 + nsteps) * count]
+                    np.testing.assert_array_equal(got[a], want.reshape(nsteps, count))
+
+
+def test_uniforms_invariant_to_run_batches_and_step_chunks():
+    # Odd starts and odd chunk lengths put step boundaries at every offset
+    # inside a counter block; any split of runs and steps reads the same
+    # doubles as one call over all of them.
+    keys = run_keys(31, np.arange(7))
+    for count in (1, 2, 3, 5):
+        for t0 in (1, 3, 5, 7):
+            ts = np.arange(t0, t0 + 23)
+            whole = uniforms_at(keys, ts, count)
+            for runs in (slice(0, 1), slice(1, 4), slice(4, 7), slice(6, 7)):
+                chunks = ((0, 1), (1, 8), (8, 23))
+                parts = [uniforms_at(keys[runs], ts[lo:hi], count) for lo, hi in chunks]
+                np.testing.assert_array_equal(np.concatenate(parts, axis=1), whole[runs])

@@ -1,5 +1,7 @@
 """Walk oracles: first passage, stretched recursion, recurrence, gap walk."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -172,6 +174,40 @@ def test_cluster_gap_walk_matches_manual_qmin():
             assert s.end_value == qmin[k, below[0]]
         else:
             assert not s.hit
+
+
+@pytest.mark.parametrize("dim, sizes", [(1, range(1, 8)), (2, range(1, 17)), (3, range(1, 17))])
+def test_cluster_y_equals_strided_means(dim, sizes):
+    # The gap walk's ordered slice sums equal numpy's strided means bit
+    # for bit for every group size of these ranges, which cover every
+    # preset; at dim 1 numpy sums 8 or more agents pairwise and differs.
+    rng = np.random.default_rng(dim)
+    for n1 in sizes:
+        for n2 in (1, n1, 16 if dim > 1 else 7):
+            xi = rng.random((20, 30, n1 + n2, dim)) - 0.5
+            want = xi[..., :n1, :].mean(axis=-2) - xi[..., n1:, :].mean(axis=-2)
+            np.testing.assert_array_equal(walks._cluster_y(xi, n1), want)
+
+
+def test_hitting_driver_holds_one_noise_chunk_at_a_time(monkeypatch):
+    # The censored-hitting driver frees each chunk's draws before it draws
+    # the next: a gap walk of many chunks peaks below two chunks of
+    # uniforms (one chunk, the ball transform's scratch and the group
+    # means).
+    monkeypatch.setattr(walks, "_CHUNK_ELEMS", 200_000)
+    spec = ClusterWalkSpec(n1=2, n2=2, noise=NoiseSpec("uniform_ball", 0.25), dim=3)
+
+    def walk():
+        return cluster_gap_walk(spec, [3.0, 0.0, 0.0], 3, np.arange(100), 20_000, radius=0.5)
+
+    walk()
+    tracemalloc.start()
+    try:
+        walk()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 200_000 * 8
 
 
 def test_cluster_walk_bounds_simulation_hit_times():
