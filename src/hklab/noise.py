@@ -8,10 +8,12 @@ in Euclidean norm by delta:
 * ``rademacher_axes`` independent coordinate signs, each +-delta/sqrt(d)
 
 Draws are keyed by (base_seed, run_index, t, agent): agent i at step t
-reads the slice [i*W, (i+1)*W) of the step's uniform stream, where W =
-uniforms_per_draw.  Regenerating the step therefore reproduces any
-single agent's draw bit-identically, regardless of batching or
-execution order.
+reads the slice [i*W, (i+1)*W) of the step's stream units, where W =
+uniforms_per_draw.  A unit is a uniform double of the run's Philox
+stream, or for rademacher_axes one bit of it (prng.bits_at): bit 1
+gives the coordinate +delta/sqrt(d), bit 0 gives -delta/sqrt(d).
+Regenerating the step therefore reproduces any single agent's draw
+bit-identically, regardless of batching or execution order.
 
 uniform_ball draws a radius delta * u^(1/d) and an independent uniform
 direction.  For d <= 3 the direction comes from exact low-dimensional
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prng import run_keys, uniforms_at
+from .prng import bits_at, run_keys, uniforms_at
 
 FAMILIES = ("uniform_ball", "uniform_cube", "rademacher_axes")
 
@@ -55,7 +57,7 @@ class NoiseSpec:
 
 
 def uniforms_per_draw(family: str, d: int) -> int:
-    """Uniforms consumed per agent draw."""
+    """Stream units consumed per agent draw: bits for rademacher_axes, else uniforms."""
     if family == "uniform_ball":
         # Direction uniforms plus one radius uniform: a sign (d = 1), an
         # angle (d = 2), a height and an angle (d = 3), else Box-Muller pairs.
@@ -65,17 +67,28 @@ def uniforms_per_draw(family: str, d: int) -> int:
     raise ValueError(f"unknown noise family: {family}")
 
 
-def _uniforms_to_noise(spec: NoiseSpec, u: np.ndarray, d: int) -> np.ndarray:
-    """Map uniform blocks (..., W) to noise vectors (..., d), consuming u.
+def _stream_units(spec: NoiseSpec, keys, ts, count: int) -> np.ndarray:
+    """The (A, B, count) stream units of a draw block: bits or uniforms."""
+    units_at = bits_at if spec.family == "rademacher_axes" else uniforms_at
+    return units_at(keys, ts, count)
 
-    Every family writes its result into u's memory and returns a view of
-    it, so callers hand over freshly generated buffers and never reread
-    them.
+
+def _uniforms_to_noise(spec: NoiseSpec, u: np.ndarray, d: int) -> np.ndarray:
+    """Map stream-unit blocks (..., W) to noise vectors (..., d), consuming u.
+
+    u holds uniforms, or for rademacher_axes 0/1 bits.  Every family but
+    rademacher_axes writes its result into u's memory and returns a view
+    of it, so callers hand over freshly generated buffers and never
+    reread them; signs fill a new float64 array, eight times the size of
+    their bit block.
     """
     if spec.family == "rademacher_axes":
-        # The sign of u - 0.5 (exact for u in [0, 1)): -c below 0.5, else c.
-        u -= 0.5
-        return np.copysign(spec.delta / np.sqrt(d), u, out=u)
+        # 2c * b - c: exactly c for bit 1 and -c for bit 0.
+        c = spec.delta / np.sqrt(d)
+        signs = np.empty(u.shape, dtype=np.float64)
+        np.multiply(u, 2.0 * c, out=signs)
+        signs -= c
+        return signs
     if spec.family == "uniform_cube":
         c = spec.delta / np.sqrt(d)
         u *= 2.0 * c
@@ -220,7 +233,7 @@ def noise_block(spec: NoiseSpec, keys, ts, n: int, d: int) -> np.ndarray:
     w = uniforms_per_draw(spec.family, d)
     keys = np.asarray(keys, dtype=np.uint64)
     ts = np.asarray(ts)
-    u = uniforms_at(keys, ts, n * w)
+    u = _stream_units(spec, keys, ts, n * w)
     u = u.reshape(keys.shape[0], ts.shape[0], n, w)
     return _uniforms_to_noise(spec, u, d)
 
@@ -230,7 +243,7 @@ def sample_noise(
 ) -> np.ndarray:
     """Single draw for agent i at step t of run run_index, shape (d,).
 
-    Regenerates the step's uniform stream and reads agent i's slice, so
+    Regenerates the step's stream units and reads agent i's slice, so
     the result does not depend on which draws were produced before it
     or on how the surrounding ensemble was batched.
     """
@@ -239,7 +252,7 @@ def sample_noise(
     if not 0 <= i < n:
         raise ValueError("agent index out of range")
     w = uniforms_per_draw(spec.family, d)
-    u = uniforms_at(run_keys(base_seed, [run_index]), [t], n * w)
+    u = _stream_units(spec, run_keys(base_seed, [run_index]), [t], n * w)
     return _uniforms_to_noise(spec, u[:, :, i * w : (i + 1) * w], d)[0, 0]
 
 

@@ -233,6 +233,8 @@ def trajectory(
         for k in range(xi.shape[1]):
             s = projected_step(s, spec, xi[0, k])
             out[t0 + k + 1] = s[0]
+        # Freed before the next chunk is drawn.
+        del xi
     return out
 
 

@@ -41,9 +41,10 @@ from .model import sq_norm_last
 from .noise import NoiseSpec, noise_block, uniforms_per_draw, validate_noise_spec
 from .prng import run_keys
 
-# Uniforms in one pre-generated noise chunk for every chunked loop: the
-# engine, the walks and the projected recursion.  2M uniforms (16 MB)
-# bound a chunk's transient memory.
+# Stream units (uniforms, or bits for sign noise) in one pre-generated
+# noise chunk for every chunked loop: the engine, the walks and the
+# projected recursion.  2M units bound a chunk's transient memory to
+# 16 MB of uniforms, or of sign draws beside their 2 MB of bits.
 _CHUNK_ELEMS = 2_000_000
 
 # d=1 steps of exactly +-1: the axis-sign family scales by delta/sqrt(d) = 1.
@@ -188,6 +189,18 @@ def _walk_from(start, steps):
     """
     steps[:, 0] += start
     return np.cumsum(steps, axis=1, out=steps)
+
+
+def _sq_norm_into(x: np.ndarray) -> np.ndarray:
+    """sq_norm_last(x), bit for bit, computed in x's memory; x is consumed.
+
+    Returns a view of x[..., 0].  Spares a walk chunk's norms their own
+    array where the walk itself is not read again.
+    """
+    np.square(x, out=x)
+    for k in range(1, x.shape[-1]):
+        x[..., 0] += x[..., k]
+    return x[..., 0]
 
 
 def _first_hit(hits: np.ndarray, stat: np.ndarray):
@@ -393,9 +406,9 @@ def recurrence_profile(
     for hk, h in enumerate(horizons):
         for _, xi in _noise_chunks(spec.step, keys, t0, int(h), 1, d):
             path = _walk_from(u, xi[:, :, 0, :])
-            counts += (sq_norm_last(path) <= r2).sum(axis=1)
             # A copy, so this chunk's draws are freed before the next are drawn.
             u = path[:, -1, :].copy()
+            counts += (_sq_norm_into(path) <= r2).sum(axis=1)
             del xi, path
         t0 = int(h)
         visits[:, hk] = counts
@@ -417,17 +430,27 @@ def recurrence_profile(
 # ---------------------------------------------------------------------------
 
 
+def _over_agents(ufunc, noise: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """ufunc folded over agents lo..hi-1 of noise (..., n, d) in ascending order.
+
+    One agent slice at a time, which is far cheaper than numpy's strided
+    reduction over the agent axis.
+    """
+    total = noise[..., lo, :].copy()
+    for i in range(lo + 1, hi):
+        ufunc(total, noise[..., i, :], out=total)
+    return total
+
+
 def _group_mean(noise: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """Mean of agents lo..hi-1 of noise (..., n, d), added in ascending order.
 
     Equals noise[..., lo:hi, :].mean(axis=-2) bit for bit wherever numpy
     adds in that order too: groups of up to 16 agents at d = 2 and 3, and
     of up to 7 at d = 1, where numpy adds 8 or more contiguous terms
-    pairwise.  The slices are far cheaper than the strided reduction.
+    pairwise.
     """
-    total = noise[..., lo, :].copy()
-    for i in range(lo + 1, hi):
-        total += noise[..., i, :]
+    total = _over_agents(np.add, noise, lo, hi)
     total /= hi - lo
     return total
 
@@ -473,16 +496,16 @@ def cluster_gap_walk(
         zpath = _walk_from(z, _cluster_y(xi, n1))
         if radius is None:
             zprev = np.concatenate([z[:, None, :], zpath[:, :-1, :]], axis=1)
-            qmin = (
-                gap0[0]
-                + zprev[:, :, 0]
-                + xi[:, :, :n1, 0].min(axis=2)
-                - xi[:, :, n1:, 0].max(axis=2)
-            )
+            # Min and max are exact, so slices give numpy's reductions.
+            qmin = gap0[0] + zprev[:, :, 0]
+            qmin += _over_agents(np.minimum, xi, 0, n1)[:, :, 0]
+            qmin -= _over_agents(np.maximum, xi, n1, xi.shape[2])[:, :, 0]
             return (*_first_hit(qmin <= threshold, qmin), zpath[:, -1, :])
-        d2 = sq_norm_last(gap0 + zpath)
+        z_end = zpath[:, -1, :].copy()
+        zpath += gap0
+        d2 = _sq_norm_into(zpath)
         stop, got, d2_stop = _first_hit(d2 <= r2, d2)
-        return stop, got, np.sqrt(d2_stop), zpath[:, -1, :]
+        return stop, got, np.sqrt(d2_stop), z_end
 
     return _censored_hitting(
         spec.noise,
@@ -512,6 +535,8 @@ def cluster_gap_path(
     y = np.zeros((horizon, spec.dim), dtype=np.float64)
     for t0, xi in _noise_chunks(spec.noise, keys, 0, horizon, n, spec.dim):
         y[t0 : t0 + xi.shape[1]] = _cluster_y(xi, spec.n1)[0]
+        # Freed before the next chunk is drawn.
+        del xi
     z = np.vstack([np.zeros((1, spec.dim)), np.cumsum(y, axis=0)])
     return y, z
 
@@ -531,5 +556,7 @@ def cluster_gap_endpoints(
     n = spec.n1 + spec.n2
     z = np.zeros((run_indices.shape[0], spec.dim), dtype=np.float64)
     for _, xi in _noise_chunks(spec.noise, keys, 0, t, n, spec.dim):
-        z = _walk_from(z, _cluster_y(xi, spec.n1))[:, -1]
+        # A copy, so this chunk's draws are freed before the next are drawn.
+        z = _walk_from(z, _cluster_y(xi, spec.n1))[:, -1].copy()
+        del xi
     return z

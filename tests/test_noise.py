@@ -2,11 +2,12 @@
 
 NOISE_GOLDEN below was generated once and frozen, as tests/test_prng.py
 freezes its uniforms: every published sample depends on these bits, so
-a transform may be rewritten for speed only if it reproduces them.  It
-was last re-frozen when steps were packed into the Philox stream and
-uniform_ball took exact low-dimensional directions for d <= 3; the
-(n, d) = (2, 2) cube and axis-sign draws, four uniforms per step,
-already filled whole counter blocks and kept their values.
+a transform may be rewritten for speed only if it reproduces them.  The
+uniform_ball and uniform_cube rows were last re-frozen when steps were
+packed into the Philox stream and uniform_ball took exact
+low-dimensional directions for d <= 3.  The rademacher_axes rows were
+re-frozen when signs came to read one bit of the stream each instead of
+one uniform.
 """
 
 import tracemalloc
@@ -109,44 +110,44 @@ NOISE_GOLDEN = {
         [-0.08852778473236975, 0.07297079300117684, -0.08220103117280234, 0.08816527821516779, -0.11393797151197954],
     ],
     ("rademacher_axes", 1): [
-        [1],
-        [1],
-        [1],
-        [1],
-        [1],
+        [-1],
         [1],
         [1],
         [-1],
+        [-1],
+        [1],
+        [-1],
+        [1],
     ],
     ("rademacher_axes", 2): [
-        [1, 1],
-        [-1, -1],
-        [-1, -1],
-        [-1, 1],
         [1, -1],
         [-1, 1],
-        [1, 1],
+        [-1, -1],
+        [1, -1],
+        [-1, 1],
+        [-1, 1],
+        [1, -1],
         [-1, -1],
     ],
     ("rademacher_axes", 3): [
-        [-1, -1, -1],
-        [-1, -1, 1],
-        [1, -1, -1],
+        [-1, 1, -1],
+        [-1, 1, -1],
+        [1, 1, -1],
         [1, 1, -1],
         [-1, 1, 1],
-        [1, -1, -1],
-        [-1, 1, 1],
-        [1, -1, 1],
+        [-1, -1, -1],
+        [1, 1, 1],
+        [-1, 1, -1],
     ],
     ("rademacher_axes", 5): [
-        [-1, 1, 1, -1, -1],
-        [1, 1, -1, -1, 1],
         [1, -1, 1, 1, -1],
+        [1, 1, -1, -1, -1],
+        [-1, -1, -1, -1, -1],
         [-1, -1, 1, 1, -1],
-        [-1, -1, -1, 1, 1],
+        [-1, -1, 1, 1, 1],
+        [-1, 1, -1, -1, 1],
         [1, -1, 1, 1, -1],
-        [1, 1, 1, -1, -1],
-        [-1, 1, -1, 1, -1],
+        [-1, 1, 1, -1, 1],
     ],
 }
 
@@ -391,19 +392,66 @@ def test_box_muller_transform_unchanged(d):
     np.testing.assert_array_equal(got, np.array(BOX_MULLER_GOLDEN[d]))
 
 
+@pytest.mark.parametrize("d", [4, 5])
+def test_box_muller_norm_bound_exact_near_one(d):
+    # Radius uniforms within 63 ulps of 1 put every draw on the boundary.
+    # The Box-Muller path bounds the squared norm added evens first, then
+    # odds, each in ascending coordinate order, and only in that order
+    # must it not exceed delta^2; squares added here in that order.
+    w = uniforms_per_draw("uniform_ball", d)
+    for delta in (0.1, 0.25, 0.3, 1.0 / 3.0, 0.37, 0.7, 1.0, 2.5):
+        u = uniforms_at(run_keys(43, np.arange(50)), np.arange(1, 41), 100 * w)
+        u = u.reshape(-1, w)
+        u[:, -1] = 1.0 - (1 + np.arange(u.shape[0]) % 63) * 2.0**-53
+        v = noise._uniforms_to_noise(NoiseSpec("uniform_ball", delta), u, d)
+        sq = v * v
+        even = sq[:, 0].copy()
+        for k in range(2, d, 2):
+            even += sq[:, k]
+        odd = sq[:, 1].copy()
+        for k in range(3, d, 2):
+            odd += sq[:, k]
+        s2 = even + odd
+        assert np.all(s2 <= delta * delta)
+        assert np.sqrt(s2.min()) > delta * (1.0 - 1e-14)
+
+
+@pytest.mark.parametrize("n, d", [(1, 3), (5, 1), (1, 5), (3, 1)])
+def test_sign_draws_invariant_to_step_chunks(n, d):
+    # With n * d = 3 or 5 sign bits per step, steps straddle the stream's
+    # 64-bit words; chunks of any length and start give the same draws as
+    # one block, and sample_noise gives the matching row.
+    spec = NoiseSpec("rademacher_axes", 0.5)
+    keys = run_keys(12, np.arange(5))
+    ts = np.arange(1, 150)
+    whole = noise_block(spec, keys, ts, n, d)
+    for cuts in ((0, 1, 21, 22, 149), (0, 13, 64, 85, 149)):
+        parts = [noise_block(spec, keys, ts[lo:hi], n, d) for lo, hi in zip(cuts, cuts[1:])]
+        np.testing.assert_array_equal(np.concatenate(parts, axis=1), whole)
+    for run, t, i in ((0, 1, 0), (4, 21, n - 1), (2, 149, n // 2)):
+        np.testing.assert_array_equal(sample_noise(spec, 12, run, t, i, n, d), whole[run, t - 1, i])
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("d", [1, 2, 3, 5])
 def test_noise_block_memory_peak(family, d):
-    # The transform writes its draws into the uniform block: the traced
-    # peak is the block itself, plus for uniform_ball the planar scratch
-    # of one 8192-draw block (its uniforms, its draws, and a few vectors
-    # of norms), plus an allowance for interpreter objects.  A separate
-    # result array, (draws, d) doubles, would exceed it.
+    # The uniform transforms write their draws into the uniform block: the
+    # traced peak is the block itself, plus for uniform_ball the planar
+    # scratch of one 8192-draw block (its uniforms, its draws, and a few
+    # vectors of norms), plus an allowance for interpreter objects.  A
+    # separate result array, (draws, d) doubles, would exceed it.  Signs
+    # hold their result beside a bit block of one byte per bit, an eighth
+    # of the result, and numpy's buffer for casting bits to doubles; a
+    # second full-size array would exceed that too.
     spec = NoiseSpec(family, 0.3)
     keys, ts, n = run_keys(3, np.arange(100)), np.arange(1, 201), 4
     w = uniforms_per_draw(family, d)
     draws = keys.size * ts.size * n
-    scratch = (w + 2 * d + 2) * min(draws, noise._BALL_BLOCK) * 8 if family == "uniform_ball" else 0
+    held, scratch = draws * w * 8, 0
+    if family == "uniform_ball":
+        scratch = (w + 2 * d + 2) * min(draws, noise._BALL_BLOCK) * 8
+    if family == "rademacher_axes":
+        held, scratch = draws * d * 8 + draws * w, np.getbufsize() * (8 + 1)
     assert draws * d * 8 > scratch + (32 << 10)
     noise_block(spec, keys, ts, n, d)
     tracemalloc.start()
@@ -412,4 +460,4 @@ def test_noise_block_memory_peak(family, d):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= draws * w * 8 + scratch + (32 << 10)
+    assert peak <= held + scratch + (32 << 10)

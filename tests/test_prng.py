@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 
-from hklab.prng import run_keys, splitmix64, uniforms_at, uniforms_for_step
+from hklab.prng import bits_at, run_keys, splitmix64, uniforms_at, uniforms_for_step
 
 # Known answers, frozen.  See module docstring.
 KEYS_BASE0 = [0xA706DD2F4D197E6F, 0x2A98F501AF37E97F, 0x82876E1C4F0B438C]
@@ -172,3 +172,71 @@ def test_uniforms_invariant_to_run_batches_and_step_chunks():
                 chunks = ((0, 1), (1, 8), (8, 23))
                 parts = [uniforms_at(keys[runs], ts[lo:hi], count) for lo, hi in chunks]
                 np.testing.assert_array_equal(np.concatenate(parts, axis=1), whole[runs])
+
+
+# ---------------------------------------------------------------------------
+# The bit view of the stream
+# ---------------------------------------------------------------------------
+
+
+def _fresh_bits(key, size):
+    """The first `size` bits of a fresh Philox's 64-bit outputs, low bit first."""
+    words = Philox(key=int(key)).random_raw(-(-size // 64))
+    b = np.arange(size, dtype=np.uint64)
+    return ((words[b // np.uint64(64)] >> (b % np.uint64(64))) & np.uint64(1)).astype(np.uint8)
+
+
+def test_bits_match_fresh_philox_per_run():
+    # Step t of `count` bits is the slice [t * count, (t + 1) * count) of
+    # the run's fresh bit stream.  Counts that do not divide 64 and starts
+    # at every output of a counter block put steps across 64-bit words and
+    # counter blocks; keys as in the uniform test above.
+    keys = np.concatenate(
+        [run_keys(2024, np.arange(4)), np.array([0, 2**63, 2**64 - 1], dtype=np.uint64)]
+    )
+    starts = ((0, 1), (1, 40), (21, 7), (43, 64), (85, 3), (9_999, 9))
+    for count in (1, 3, 5, 7, 64, 100):
+        size = max(t0 + nsteps for t0, nsteps in starts) * count
+        streams = {int(key): _fresh_bits(key, size) for key in keys}
+        for t0, nsteps in starts:
+            got = bits_at(keys, np.arange(t0, t0 + nsteps), count)
+            assert got.shape == (keys.size, nsteps, count) and got.dtype == np.uint8
+            for a, key in enumerate(keys):
+                want = streams[int(key)][t0 * count : (t0 + nsteps) * count]
+                np.testing.assert_array_equal(got[a], want.reshape(nsteps, count))
+
+
+def test_bits_invariant_to_run_batches_and_step_chunks():
+    # With 3 or 5 bits per step a step straddles a 64-bit word every few
+    # steps; any split of runs and steps reads the same bits as one call.
+    keys = run_keys(31, np.arange(7))
+    for count in (1, 3, 5, 13):
+        for t0 in (1, 20, 21, 64):
+            ts = np.arange(t0, t0 + 61)
+            whole = bits_at(keys, ts, count)
+            for runs in (slice(0, 1), slice(1, 4), slice(4, 7)):
+                chunks = ((0, 1), (1, 22), (22, 61))
+                parts = [bits_at(keys[runs], ts[lo:hi], count) for lo, hi in chunks]
+                np.testing.assert_array_equal(np.concatenate(parts, axis=1), whole[runs])
+
+
+def test_bits_balanced_per_position_and_pair():
+    # 65536 whole outputs: each of the 64 bit positions is set about half
+    # the time, and the four values of adjacent bit pairs along a run's
+    # stream each come up about a quarter of the time, within 5 binomial
+    # standard errors.
+    bits = bits_at(run_keys(8, np.arange(256)), np.arange(1, 257), 64)
+    per_position = bits.reshape(-1, 64).mean(axis=0)
+    assert np.all(np.abs(per_position - 0.5) < 5 * 0.5 / 256)
+    stream = bits.reshape(256, -1).astype(np.int64)
+    pairs = (2 * stream[:, :-1] + stream[:, 1:]).ravel()
+    freq = np.bincount(pairs, minlength=4) / pairs.size
+    assert np.all(np.abs(freq - 0.25) < 5 * np.sqrt(0.25 * 0.75 / pairs.size))
+
+
+def test_bits_empty_requests_and_step_order():
+    keys = run_keys(0, [0, 1])
+    assert bits_at(keys, [], 3).shape == (2, 0, 3)
+    assert bits_at(keys, [0, 1], 0).shape == (2, 2, 0)
+    with pytest.raises(ValueError, match="consecutive ascending"):
+        bits_at(keys, [1, 3], 3)

@@ -7,9 +7,9 @@ import pytest
 
 import hklab.walks as walks
 from hklab.engine import run_batch
-from hklab.model import InitialCondition, ModelConfig
+from hklab.model import InitialCondition, ModelConfig, sq_norm_last
 from hklab.noise import NoiseSpec, noise_block
-from hklab.projected import MapSpec, ProjectedSystemSpec, hitting_time_td
+from hklab.projected import MapSpec, ProjectedSystemSpec, hitting_time_td, trajectory
 from hklab.prng import run_keys
 from hklab.walks import (
     SIMPLE_STEP,
@@ -189,6 +189,26 @@ def test_cluster_y_equals_strided_means(dim, sizes):
             np.testing.assert_array_equal(walks._cluster_y(xi, n1), want)
 
 
+def test_sq_norm_into_equals_sq_norm_last():
+    # The walks' in-place squared norms add coordinates in sq_norm_last's
+    # order, so they are its values bit for bit.
+    rng = np.random.default_rng(6)
+    for dim in (1, 2, 3, 5):
+        x = rng.random((7, 11, dim)) - 0.5
+        want = sq_norm_last(x)
+        np.testing.assert_array_equal(walks._sq_norm_into(x.copy()), want)
+
+
+def test_group_extremes_equal_strided_reductions():
+    # Q_min's group minimum and maximum, folded one agent slice at a time,
+    # equal numpy's reductions over the agent axis: min and max are exact.
+    xi = np.random.default_rng(4).random((20, 30, 12, 1)) - 0.5
+    for lo, hi in ((0, 1), (0, 5), (5, 12), (3, 12)):
+        lo_hi = xi[:, :, lo:hi, :]
+        np.testing.assert_array_equal(walks._over_agents(np.minimum, xi, lo, hi), lo_hi.min(axis=2))
+        np.testing.assert_array_equal(walks._over_agents(np.maximum, xi, lo, hi), lo_hi.max(axis=2))
+
+
 def test_hitting_driver_holds_one_noise_chunk_at_a_time(monkeypatch):
     # The censored-hitting driver frees each chunk's draws before it draws
     # the next: a gap walk of many chunks peaks below two chunks of
@@ -208,6 +228,55 @@ def test_hitting_driver_holds_one_noise_chunk_at_a_time(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 2 * 200_000 * 8
+
+
+def _bytes_held_at_each_draw(monkeypatch, call):
+    """Traced bytes still allocated by call each time it draws a noise chunk."""
+    held = []
+    draw = walks._steps_block
+
+    def recorded(*args):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return draw(*args)
+
+    monkeypatch.setattr(walks, "_steps_block", recorded)
+    tracemalloc.start()
+    try:
+        call()
+    finally:
+        tracemalloc.stop()
+    return held
+
+
+_BALL = NoiseSpec("uniform_ball", 0.25)
+_TRAJECTORY_SPEC = ProjectedSystemSpec(
+    dim=3, r=1.0, r0=0.5, map=MapSpec("identity"), noise=_BALL
+)
+
+
+@pytest.mark.parametrize(
+    "call, preallocated",
+    [
+        (
+            lambda: cluster_gap_walk(
+                ClusterWalkSpec(2, 2, _BALL, 3), [3.0, 0.0, 0.0], 3, np.arange(100), 400, radius=0.5
+            ),
+            0,
+        ),
+        (lambda: cluster_gap_path(ClusterWalkSpec(8, 8, _BALL, 1), 3, 0, 5_000), 5_000 * 8),
+        (lambda: cluster_gap_endpoints(ClusterWalkSpec(2, 2, _BALL, 3), 200, 3, np.arange(100)), 0),
+        (lambda: trajectory(_TRAJECTORY_SPEC, 3, 0, 20_000), 20_001 * 3 * 8),
+    ],
+    ids=["cluster_gap_walk", "cluster_gap_path", "cluster_gap_endpoints", "trajectory"],
+)
+def test_chunk_loops_free_each_chunk_before_the_next(monkeypatch, call, preallocated):
+    # Every chunked loop drops a chunk's draws before drawing the next, so
+    # what it holds at a draw is its preallocated output and small state,
+    # well under half a chunk, never a chunk of draws.
+    monkeypatch.setattr(walks, "_CHUNK_ELEMS", 20_000)
+    held = _bytes_held_at_each_draw(monkeypatch, call)
+    assert len(held) >= 3
+    assert max(held) < preallocated + 20_000 * 8 // 2
 
 
 def test_cluster_walk_bounds_simulation_hit_times():
