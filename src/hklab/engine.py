@@ -2,10 +2,11 @@
 
 A run is quasi-synchronized at the first t >= 0 with d_V(t) <= epsilon
 (largest pairwise distance at most the confidence radius).  The engine
-reports each run as a walks.HittingSample: t_hit = min(T, horizon), an
-explicit censoring flag, and d_V at that step as end_value.  It can
-optionally keep stepping past the hit to audit that the condition is
-absorbing when delta <= epsilon / 2.
+reports a batch's runs as one walks.Samples, whose rows read as
+walks.HittingSample: t_hit = min(T, horizon), an explicit censoring
+flag, and d_V at that step as end_value.  It can optionally keep
+stepping past the hit to audit that the condition is absorbing when
+delta <= epsilon / 2.
 
 One chunked loop advances exactly the runs of one batch (ensemble.py
 sizes batches): noise, hit, deadline, audit and horizon bookkeeping,
@@ -18,6 +19,13 @@ one draw at a time, through a NeighborIndex built each step.  Every
 noise draw is a pure function of (base_seed, run_index, t, agent) and
 every per-run reduction has a fixed order, so a run's trajectory is
 bit-identical no matter which other runs share the batch.
+
+Audit tails run in segments.  Once every running run of a lockstep
+batch is synchronized, each step's mean is the total over agents, so
+_Lockstep.segment advances a stretch of steps without distances and
+then takes their d_V in one batched call.  A segment keeps its steps up
+to the first at which some running run leaves synchronization, so the
+states stay those of the step-by-step loop, bit for bit.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import walks
 from .model import (
     BOX_HI,
     BOX_LO,
@@ -37,7 +46,7 @@ from .model import (
 from .neighbors import NeighborIndex, max_sq_dist
 from .noise import noise_block, uniforms_per_draw
 from .prng import run_keys
-from .walks import HittingSample, _chunk_steps, _samples
+from .walks import Samples, _chunk_steps, _samples
 
 # Abort threshold for runaway unbounded states.
 MAGNITUDE_GUARD = 1e12
@@ -47,6 +56,11 @@ _LOCKSTEP_MAX_N = 128
 
 # Lockstep steps per chunk stay below this even when few runs remain.
 _CHUNK_STEPS = 4096
+
+# The buffers of one lockstep segment hold at most this share of the
+# noise chunk budget, walks._CHUNK_ELEMS (2 MB of its 16 MB by default).
+# Larger segments left the cache and ran slower on the thm1_bounded shapes.
+_SEGMENT_SHARE = 8
 
 
 @dataclass
@@ -63,9 +77,15 @@ class TrajectoryRecord:
 
 @dataclass
 class BatchResult:
-    samples: list[HittingSample]
+    samples: Samples
     absorb_ok: np.ndarray | None = None
     record: TrajectoryRecord | None = None
+
+
+def _clip_to_box(x: np.ndarray) -> np.ndarray:
+    """np.clip(x, BOX_LO, BOX_HI, out=x) bit for bit, at half its per-call cost."""
+    np.maximum(x, BOX_LO, out=x)
+    return np.minimum(x, BOX_HI, out=x)
 
 
 def cluster_gap(states: np.ndarray, n1: int) -> float:
@@ -125,7 +145,8 @@ class _Lockstep:
     view, and a step's neighbor sums take their adjacency from the
     previous step's distances there, unless every running run is
     synchronized and each mean is the total over agents.  Its d_V is
-    always exact.
+    always exact.  From a synchronized batch, segment() advances several
+    steps by the total and takes their d_V in one call.
     """
 
     def __init__(self, cfg: ModelConfig, a: int):
@@ -133,11 +154,66 @@ class _Lockstep:
         self.epsilon = cfg.epsilon
         self.chunk_steps = _CHUNK_STEPS
         self.d2, self.prod, self.deg = np.empty((n, n, a)), np.empty((n, n, a)), np.empty((n, a))
+        self.seg = None
 
     def compact(self, keep) -> None:
         self.d2 = np.compress(keep, self.d2, axis=2)
         n, _, a = self.d2.shape
         self.prod, self.deg = np.empty((n, n, a)), np.empty((n, a))
+        self.seg = None
+
+    def segment_steps(self, states: np.ndarray) -> int:
+        """Steps segment() may take at once; 0 where the total is not the kernel's sum.
+
+        The total over agents equals the dense kernel's sum only when the
+        reduce adds one agent slice at a time (see mean).  A segment's
+        buffers, its states and two (n - 1, A) distance buffers per step,
+        hold at most walks._CHUNK_ELEMS // _SEGMENT_SHARE doubles.
+        """
+        n, d, a = states.shape
+        if d * a == 1 or not states.flags.c_contiguous:
+            return 0
+        return max(1, walks._CHUNK_ELEMS // _SEGMENT_SHARE // (a * (n * d + 2 * (n - 1))))
+
+    def segment(self, states, noise, running, bounded: bool):
+        """States and d_V^2 of the steps of noise from a synchronized batch.
+
+        noise (S, n, d, A) holds the draws of S steps and running (S, A)
+        flags the runs that step at each; a run that does not keeps its
+        state, as in the dense loop.  Every step takes the total over
+        agents, which is the dense kernel's mean as long as every
+        running run stays synchronized: the caller keeps the steps up to
+        the first at which one leaves.  Returns the states, a (S, n, d, A)
+        view of a buffer the next segment overwrites, and d_V^2 (S, A).
+
+        d_V^2 is the largest pairwise_sq_dists entry over pairs i < j,
+        one call per agent i over all steps: entry [j, i] equals [i, j]
+        bit for bit and the diagonal is 0, so it is the dense kernel's
+        maximum with half its terms.
+        """
+        steps, n, d, a = noise.shape
+        if self.seg is None or self.seg[0].shape[0] < steps:
+            shapes = ((n, d, a), (n - 1, a), (n - 1, a))
+            self.seg = tuple(np.empty((steps,) + shape) for shape in shapes)
+        seg, pair, tmp = (buf[:steps] for buf in self.seg)
+        prev = states
+        for j in range(steps):
+            new = seg[j]
+            np.divide(np.add.reduce(prev, axis=0), n, out=new)
+            new += noise[j]
+            if bounded:
+                _clip_to_box(new)
+            if not running[j].all():
+                np.copyto(new, prev, where=~running[j])
+            prev = new
+        x = seg.transpose(0, 3, 1, 2)
+        dv2 = np.zeros((steps, a))
+        for i in range(n - 1):
+            # (S, A, 1, n - 1 - i) views of the runs-last pair buffers.
+            out, scratch = (buf[:, i:].transpose(0, 2, 1)[:, :, None, :] for buf in (pair, tmp))
+            pairwise_sq_dists(x[..., i : i + 1, :], x[..., i + 1 :, :], out=out, tmp=scratch)
+            np.maximum(dv2, pair[:, i:].max(axis=1), out=dv2)
+        return seg, dv2
 
     def sq_dv(self, states: np.ndarray, exact: bool) -> np.ndarray:
         runs = (2, 0, 1)
@@ -177,6 +253,9 @@ class _Indexed:
 
     def compact(self, keep) -> None:
         pass
+
+    def segment_steps(self, states: np.ndarray) -> int:
+        return 0
 
     def sq_dv(self, states: np.ndarray, exact: bool) -> np.ndarray:
         """d_V^2 per run, or NaN where an O(n d) prune shows d_V > epsilon.
@@ -233,7 +312,7 @@ def run_batch(
     if (record_stride or snapshot_stride) and a0 > 1:
         raise ValueError(f"record_stride and snapshot_stride record a single run, got {a0} runs")
     if a0 == 0:
-        return BatchResult(samples=[])
+        return BatchResult(samples=_samples([], [], [], [], horizon, base_seed))
     n, d = cfg.n, cfg.d
     eps2 = cfg.epsilon * cfg.epsilon
     bounded = cfg.space_mode == "bounded"
@@ -285,15 +364,43 @@ def run_batch(
         # (B, n, d, A) view of the (A, B, n, d) draws; no copy is made.
         xi = noise_block(cfg.noise, keys, ts, n, d).transpose(1, 2, 3, 0)
         hit_live = hit_all[live]
-        for k in range(b):
+        k = 0
+        while k < b:
             tk = t + k + 1
             running = tk <= deadline
             all_running = running.all()
             all_synced = synced.all() if all_running else (synced | ~running).all()
+            seg_steps = min(b - k, kernel.segment_steps(states)) if all_synced else 0
+            if seg_steps > 1:
+                # Every running run is synchronized, so it has hit and its
+                # only status change left is leaving synchronization.
+                tks = np.arange(tk, tk + seg_steps)
+                seg_running = tks[:, None] <= deadline
+                seg, seg_dv2 = kernel.segment(states, xi[k : k + seg_steps], seg_running, bounded)
+                left = seg_running & (seg_dv2 > eps2)
+                left_any = left.any(axis=1)
+                # Steps after the first that leaves synchronization did not
+                # take the dense kernel's mean; they are dropped.
+                j_last = int(np.argmax(left_any)) if left_any.any() else seg_steps - 1
+                if left_any[j_last]:
+                    absorb_all[live[left[j_last]]] = False
+                if recorder:
+                    for j in range(j_last + 1):
+                        if seg_running[j, 0]:
+                            tj, final = int(tks[j]), bool(deadline[0] == tks[j])
+                            recorder.observe(tj, seg[j, :, :, 0], float(seg_dv2[j, 0]), final)
+                states = seg[j_last].copy()
+                dv2 = seg_dv2[j_last]
+                synced = dv2 <= eps2
+                if left_any[j_last]:
+                    # The next step's neighbor sums read this state's distances.
+                    kernel.sq_dv(states, exact=False)
+                k += j_last + 1
+                continue
             new = kernel.mean(states, new, all_synced)
             new += xi[k]
             if bounded:
-                np.clip(new, BOX_LO, BOX_HI, out=new)
+                _clip_to_box(new)
             if all_running:
                 states, new = new, states
             else:
@@ -323,6 +430,7 @@ def run_batch(
                     dve_all[live[censoring]] = np.sqrt(dv2[censoring])
             if recorder and running[0]:
                 recorder.observe(tk, states[:, :, 0], float(dv2[0]), final=bool(deadline[0] == tk))
+            k += 1
         t += b
         # Free this chunk's draws before the next chunk's are drawn.
         del xi

@@ -81,16 +81,16 @@ def events_from_samples(samples, horizon: int | None = None):
     """
     if len(samples) == 0:
         raise ValueError("empty sample list: no runs to evaluate")
-    full = samples[0].horizon
+    samples = walks.Samples.of(samples)
+    full = samples.horizon
     if horizon is None:
         horizon = full
     if horizon < 0:
         raise ValueError(f"horizon {horizon} is negative")
     if horizon > full:
         raise ValueError(f"horizon {horizon} exceeds sampled horizon {full}")
-    events = np.array([(s.t_hit, s.hit) for s in samples], dtype=np.int64)
-    hit = (events[:, 1] == 1) & (events[:, 0] <= horizon)
-    return np.where(hit, events[:, 0], horizon), hit
+    hit = samples.hit & (samples.t_hit <= horizon)
+    return np.where(hit, samples.t_hit, horizon), hit
 
 
 def survival_from_events(t_end, hit, horizon: int, grid=None) -> SurvivalCurve:
@@ -247,7 +247,7 @@ class EnsembleSummary:
 
 @dataclass
 class EnsembleResult:
-    samples: list
+    samples: walks.Samples
     summary: EnsembleSummary
     absorb_ok: np.ndarray | None = None
 
@@ -283,7 +283,7 @@ def _settle(fn, *args):
 
 
 def _assemble(results, horizon, base_seed, extra_after_hit, incomplete=False) -> EnsembleResult:
-    samples = [s for r in results for s in r.samples]
+    samples = walks.Samples.concat([r.samples for r in results])
     absorb = None
     if extra_after_hit:
         absorb = np.concatenate([r.absorb_ok for r in results])

@@ -5,7 +5,7 @@ artifacts from different configs cannot be mixed silently.  Floats are
 written with repr, the shortest digit string that parses back to the
 identical double; line endings are LF regardless of platform.
 
-samples.csv   one row per walks.HittingSample: run_index, hit,
+samples.csv   one row per run of a walks.Samples: run_index, hit,
               t_hit_or_horizon, censored, d_v_end; d_v_end is the
               sample's end_value, d_V for hk runs and the oracle's end
               statistic for walk and projected runs
@@ -22,6 +22,7 @@ import json
 import numpy as np
 
 from .ensemble import SurvivalCurve
+from .walks import Samples
 
 FINGERPRINT_PREFIX = "# config_fingerprint="
 
@@ -38,15 +39,37 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+def _format_once(keys: np.ndarray, fmt) -> list[str]:
+    """fmt's string for each key, calling fmt once on the distinct keys.
+
+    fmt maps a sorted array of distinct keys to a list of their strings.
+    """
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    return np.array(fmt(distinct), dtype=object)[inverse].tolist()
+
+
 def write_samples(path, samples, fingerprint: str) -> None:
-    """One line per sample; no field ever needs csv quoting."""
+    """One line per sample, from the columns; no field ever needs csv quoting.
+
+    t_hit_or_horizon is the t_hit column: a censored run's t_hit is its
+    horizon.  Each distinct (hit, t_hit) and each distinct end value
+    (by bit pattern, so 0.0 and -0.0 keep their own repr) is
+    formatted once.
+    """
+    samples = Samples.of(samples)
+    flags = _format_once(
+        samples.t_hit * 2 + samples.hit,
+        lambda keys: [f"{k & 1},{k >> 1},{1 - (k & 1)}," for k in keys.tolist()],
+    )
+    ends = _format_once(
+        samples.end_value.view(np.uint64),
+        lambda bits: [repr(v) for v in bits.view(np.float64).tolist()],
+    )
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"{FINGERPRINT_PREFIX}{fingerprint}\n")
         fh.write(",".join(SAMPLE_COLUMNS) + "\n")
         fh.writelines(
-            f"{int(s.run_index)},{int(s.hit)},{int(s.t_end)},{int(not s.hit)},"
-            f"{float(s.end_value)!r}\n"
-            for s in samples
+            f"{r},{f}{v}\n" for r, f, v in zip(samples.run_index.tolist(), flags, ends)
         )
 
 

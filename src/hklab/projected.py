@@ -35,7 +35,7 @@ import numpy as np
 from .model import pairwise_sq_dists, runs_last_sums, sq_norm_last
 from .noise import NoiseSpec, validate_noise_spec
 from .prng import run_keys, uniforms_for_step
-from .walks import HittingSample, _censored_hitting, _noise_chunks, _step_each
+from .walks import Samples, _censored_hitting, _noise_chunks, _step_each
 
 MAP_FAMILIES = ("identity", "linear_scale", "target_stretch", "hk_mean")
 
@@ -187,7 +187,7 @@ def hitting_time_td(
     base_seed: int,
     run_indices,
     horizon: int,
-) -> list[HittingSample]:
+) -> Samples:
     """T_D over independent runs, censored at the horizon.
 
     All runs share the configured start; randomness enters through the

@@ -18,11 +18,13 @@ family, and (base_seed, run_index) consumes bit-identical noise to the
 corresponding two-cluster simulation run.  That is what makes coupled
 sample-by-sample comparisons meaningful.
 
-Every censored hitting time in hklab is reported as a HittingSample,
-the HK runs of the engine included.  The oracles here and the
-projected recursion's T_D share one chunked loop, _censored_hitting:
-each supplies only its per-chunk step math, and the loop owns the
-keys, the chunking, the compaction of stopped runs and the bookkeeping.
+Every censored hitting time in hklab, the HK runs of the engine
+included, is reported in Samples: a column per run field plus the
+shared horizon and base_seed, read as a sequence of HittingSample
+rows.  The oracles here and the projected recursion's T_D share one
+chunked loop, _censored_hitting: each supplies only its per-chunk step
+math, and the loop owns the keys, the chunking, the compaction of
+stopped runs and the bookkeeping.
 Its chunks double from one step, so a run stopping at step T has noise
 drawn through step 2T - 1 at most.  Loops over a fixed set of runs
 (recurrence profiles, gap paths and endpoints, projected trajectories)
@@ -33,6 +35,7 @@ on which runs share a call.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,15 +86,87 @@ class HittingSample:
         return self.end_value
 
 
-def _samples(run_indices, hit, t_hit, end_value, horizon: int, base_seed: int):
-    """One HittingSample per run from per-run arrays of equal length."""
-    columns = zip(
-        np.asarray(run_indices, dtype=np.int64).tolist(),
-        np.asarray(hit, dtype=bool).tolist(),
-        np.asarray(t_hit, dtype=np.int64).tolist(),
-        np.asarray(end_value, dtype=np.float64).tolist(),
+@dataclass(frozen=True, eq=False)
+class Samples(Sequence):
+    """Hitting samples of many runs, held as one column per field.
+
+    run_index, hit, t_hit and end_value are equal-length int64, bool,
+    int64 and float64 arrays; horizon and base_seed are shared.  It
+    reads as a sequence of HittingSample rows: indexing, iteration and
+    == against any sequence of rows build them on demand, while
+    ensemble and output read the columns.
+    """
+
+    run_index: np.ndarray
+    hit: np.ndarray
+    t_hit: np.ndarray
+    end_value: np.ndarray
+    horizon: int
+    base_seed: int
+
+    @classmethod
+    def of(cls, samples) -> "Samples":
+        """samples itself if columnar, else the columns of a sequence of rows.
+
+        The rows' horizon and base_seed are the first row's (0 without rows).
+        """
+        if isinstance(samples, Samples):
+            return samples
+        rows = list(samples)
+        columns = ([getattr(s, name) for s in rows] for name in _COLUMNS)
+        shared = (rows[0].horizon, rows[0].base_seed) if rows else (0, 0)
+        return _samples(*columns, *shared)
+
+    @classmethod
+    def concat(cls, parts) -> "Samples":
+        """The rows of several non-empty sample sequences, in order."""
+        parts = [cls.of(p) for p in parts]
+        return cls(
+            *(np.concatenate([getattr(p, name) for p in parts]) for name in _COLUMNS),
+            parts[0].horizon,
+            parts[0].base_seed,
+        )
+
+    def __len__(self) -> int:
+        return self.run_index.shape[0]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            columns = (getattr(self, name)[i] for name in _COLUMNS)
+            return Samples(*columns, self.horizon, self.base_seed)
+        return HittingSample(
+            int(self.run_index[i]),
+            bool(self.hit[i]),
+            int(self.t_hit[i]),
+            self.horizon,
+            float(self.end_value[i]),
+            self.base_seed,
+        )
+
+    def __iter__(self):
+        columns = (getattr(self, name).tolist() for name in _COLUMNS)
+        for r, h, t, v in zip(*columns):
+            yield HittingSample(r, h, t, self.horizon, v, self.base_seed)
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
+_COLUMNS = ("run_index", "hit", "t_hit", "end_value")
+
+
+def _samples(run_indices, hit, t_hit, end_value, horizon: int, base_seed: int) -> Samples:
+    """Samples from per-run arrays of equal length."""
+    return Samples(
+        np.asarray(run_indices, dtype=np.int64),
+        np.asarray(hit, dtype=bool),
+        np.asarray(t_hit, dtype=np.int64),
+        np.asarray(end_value, dtype=np.float64),
+        horizon,
+        base_seed,
     )
-    return [HittingSample(r, h, t, horizon, v, base_seed) for r, h, t, v in columns]
 
 
 @dataclass(frozen=True)
@@ -291,7 +366,7 @@ def first_passage_below(
     base_seed: int,
     run_indices,
     horizon: int,
-) -> list[HittingSample]:
+) -> Samples:
     """T = inf{t >= 1 : U(t) <= b}, censored at the horizon.
 
     For a zero-mean nondegenerate step the stopping time is almost
@@ -324,7 +399,7 @@ def stretched_first_passage(
     base_seed: int,
     run_indices,
     horizon: int,
-) -> list[HittingSample]:
+) -> Samples:
     """T1 = inf{t >= 1 : S(t) <= 0} for S(1) = xi(1), S(t+1) = beta*S(t) + clip(xi, +-M).
 
     The first value is the raw noise draw; clipping applies from the
@@ -470,7 +545,7 @@ def cluster_gap_walk(
     horizon: int,
     threshold: float = 0.0,
     radius: float | None = None,
-) -> list[HittingSample]:
+) -> Samples:
     """Hitting time of the inter-group gap walk.
 
     Scalar variant (dim 1, radius None): T_Q = first t >= 1 with

@@ -332,6 +332,77 @@ def test_batch_holds_one_noise_chunk_at_a_time(monkeypatch):
     assert peak <= chunk + scratch + (64 << 10)
 
 
+def _segment_spy(monkeypatch):
+    """Record (steps, truncated) for every lockstep segment run_batch takes.
+
+    A segment is truncated when a running run leaves synchronization
+    before its last step.
+    """
+    calls = []
+    real = engine._Lockstep.segment
+
+    def spy(self, states, noise, running, bounded):
+        seg, dv2 = real(self, states, noise, running, bounded)
+        left = (running & (dv2 > self.epsilon**2)).any(axis=1)
+        calls.append((noise.shape[0], bool(left[:-1].any())))
+        return seg, dv2
+
+    monkeypatch.setattr(engine._Lockstep, "segment", spy)
+    return calls
+
+
+def test_audit_segments_match_dense_steps_and_solo_runs(monkeypatch):
+    # Once every running run of a batch is synchronized, run_batch takes
+    # the audit tail in segments.  With 23-step chunks the audits cross
+    # many chunk boundaries, and so do the segments' ends.  The batch
+    # equals its solo runs and the dense loop (segments off) bit for bit,
+    # in samples and in absorb_ok.  The loose config (delta > epsilon/2,
+    # but near enough that its batch synchronizes as a whole) leaves
+    # synchronization inside segments.
+    monkeypatch.setattr(engine, "_CHUNK_STEPS", 23)
+    calls = _segment_spy(monkeypatch)
+    loose = replace(
+        _bounded_cfg(n=6, d=2), noise=NoiseSpec("uniform_ball", 0.3), allow_large_delta=True
+    )
+    for cfg in (_bounded_cfg(), _bounded_cfg(n=10, d=3), loose):
+        calls.clear()
+        batch = run_batch(cfg, 7, np.arange(8), 600, extra_after_hit=200)
+        assert len(calls) > 3 and max(steps for steps, _ in calls) > 1
+        assert any(truncated for _, truncated in calls) == (cfg is loose)
+        assert (cfg is loose) == (not batch.absorb_ok.all())
+        for i in range(8):
+            solo = run_batch(cfg, 7, [i], 600, extra_after_hit=200)
+            assert _sample_tuple(solo.samples[0]) == _sample_tuple(batch.samples[i])
+            assert solo.absorb_ok[0] == batch.absorb_ok[i]
+        with monkeypatch.context() as m:
+            m.setattr(engine._Lockstep, "segment_steps", lambda self, states: 0)
+            dense = run_batch(cfg, 7, np.arange(8), 600, extra_after_hit=200)
+        assert list(map(_sample_tuple, dense.samples)) == list(map(_sample_tuple, batch.samples))
+        np.testing.assert_array_equal(dense.absorb_ok, batch.absorb_ok)
+
+
+def test_audit_tail_segments_stay_within_the_noise_budget(monkeypatch):
+    # The audit tail of a bounded batch runs in segments whose buffers
+    # hold at most 1/_SEGMENT_SHARE of the noise budget, kept beside one
+    # noise chunk and the uniform_ball scratch (as in
+    # test_batch_holds_one_noise_chunk_at_a_time).  Segments as long as a
+    # chunk would exceed the bound.
+    monkeypatch.setattr(walks, "_CHUNK_ELEMS", 200_000)
+    calls = _segment_spy(monkeypatch)
+    cfg = _bounded_cfg(n=4, d=3)
+    run_batch(cfg, 3, np.arange(100), 2000, extra_after_hit=2000)
+    assert sum(steps for steps, _ in calls) > 1000
+    tracemalloc.start()
+    try:
+        run_batch(cfg, 3, np.arange(100), 2000, extra_after_hit=2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    chunk, scratch = 200_000 * 8, (3 + 2 * 3 + 2) * 8192 * 8
+    segment = 200_000 // engine._SEGMENT_SHARE * 8
+    assert peak <= chunk + segment + scratch + (64 << 10)
+
+
 def test_translated_start_gives_same_stopping_times():
     # T depends only on differences between agents, so shifting an
     # unbounded start by c must leave every run's (hit, t_end) unchanged.

@@ -13,7 +13,15 @@ import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 
-from hklab.prng import bits_at, run_keys, splitmix64, uniforms_at, uniforms_for_step
+import hklab.prng as prng
+from hklab.prng import (
+    bits_at,
+    philox_blocks,
+    run_keys,
+    splitmix64,
+    uniforms_at,
+    uniforms_for_step,
+)
 
 # Known answers, frozen.  See module docstring.
 KEYS_BASE0 = [0xA706DD2F4D197E6F, 0x2A98F501AF37E97F, 0x82876E1C4F0B438C]
@@ -159,19 +167,32 @@ def test_uniforms_match_fresh_philox_per_run():
                     np.testing.assert_array_equal(got[a], want.reshape(nsteps, count))
 
 
-def test_uniforms_invariant_to_run_batches_and_step_chunks():
+# (_VECTOR_RUNS, _VECTOR_BLOCKS) that send every request down one route:
+# the per-run rekey loop, or philox_blocks.
+ROUTES = {"loop": (2**62, 0), "vector": (0, 2**62)}
+
+
+def _route(monkeypatch, name):
+    runs, blocks = ROUTES[name]
+    monkeypatch.setattr(prng, "_VECTOR_RUNS", runs)
+    monkeypatch.setattr(prng, "_VECTOR_BLOCKS", blocks)
+
+
+def test_uniforms_invariant_to_run_batches_and_step_chunks(monkeypatch):
     # Odd starts and odd chunk lengths put step boundaries at every offset
     # inside a counter block; any split of runs and steps reads the same
-    # doubles as one call over all of them.
+    # doubles as one call over all of them, on either route.
     keys = run_keys(31, np.arange(7))
-    for count in (1, 2, 3, 5):
-        for t0 in (1, 3, 5, 7):
-            ts = np.arange(t0, t0 + 23)
-            whole = uniforms_at(keys, ts, count)
-            for runs in (slice(0, 1), slice(1, 4), slice(4, 7), slice(6, 7)):
-                chunks = ((0, 1), (1, 8), (8, 23))
-                parts = [uniforms_at(keys[runs], ts[lo:hi], count) for lo, hi in chunks]
-                np.testing.assert_array_equal(np.concatenate(parts, axis=1), whole[runs])
+    for route in ROUTES:
+        _route(monkeypatch, route)
+        for count in (1, 2, 3, 5):
+            for t0 in (1, 3, 5, 7):
+                ts = np.arange(t0, t0 + 23)
+                whole = uniforms_at(keys, ts, count)
+                for runs in (slice(0, 1), slice(1, 4), slice(4, 7), slice(6, 7)):
+                    chunks = ((0, 1), (1, 8), (8, 23))
+                    parts = [uniforms_at(keys[runs], ts[lo:hi], count) for lo, hi in chunks]
+                    np.testing.assert_array_equal(np.concatenate(parts, axis=1), whole[runs])
 
 
 # ---------------------------------------------------------------------------
@@ -206,18 +227,21 @@ def test_bits_match_fresh_philox_per_run():
                 np.testing.assert_array_equal(got[a], want.reshape(nsteps, count))
 
 
-def test_bits_invariant_to_run_batches_and_step_chunks():
+def test_bits_invariant_to_run_batches_and_step_chunks(monkeypatch):
     # With 3 or 5 bits per step a step straddles a 64-bit word every few
-    # steps; any split of runs and steps reads the same bits as one call.
+    # steps; any split of runs and steps reads the same bits as one call,
+    # on either route.
     keys = run_keys(31, np.arange(7))
-    for count in (1, 3, 5, 13):
-        for t0 in (1, 20, 21, 64):
-            ts = np.arange(t0, t0 + 61)
-            whole = bits_at(keys, ts, count)
-            for runs in (slice(0, 1), slice(1, 4), slice(4, 7)):
-                chunks = ((0, 1), (1, 22), (22, 61))
-                parts = [bits_at(keys[runs], ts[lo:hi], count) for lo, hi in chunks]
-                np.testing.assert_array_equal(np.concatenate(parts, axis=1), whole[runs])
+    for route in ROUTES:
+        _route(monkeypatch, route)
+        for count in (1, 3, 5, 13):
+            for t0 in (1, 20, 21, 64):
+                ts = np.arange(t0, t0 + 61)
+                whole = bits_at(keys, ts, count)
+                for runs in (slice(0, 1), slice(1, 4), slice(4, 7)):
+                    chunks = ((0, 1), (1, 22), (22, 61))
+                    parts = [bits_at(keys[runs], ts[lo:hi], count) for lo, hi in chunks]
+                    np.testing.assert_array_equal(np.concatenate(parts, axis=1), whole[runs])
 
 
 def test_bits_balanced_per_position_and_pair():
@@ -240,3 +264,66 @@ def test_bits_empty_requests_and_step_order():
     assert bits_at(keys, [0, 1], 0).shape == (2, 2, 0)
     with pytest.raises(ValueError, match="consecutive ascending"):
         bits_at(keys, [1, 3], 3)
+
+
+# ---------------------------------------------------------------------------
+# The vectorized Philox block function and the routing of requests
+# ---------------------------------------------------------------------------
+
+_EDGE_KEYS = np.concatenate(
+    [run_keys(2024, np.arange(5)), np.array([0, 1, 2**63 - 1, 2**63, 2**64 - 1], dtype=np.uint64)]
+)
+
+
+@pytest.mark.parametrize("first", [0, 1, 3, 1000, 2**40 + 7])
+def test_philox_blocks_match_numpy_philox(monkeypatch, first):
+    # Block c of key k is numpy's Philox(key=k) block c, for keys at and
+    # above 2^63 and any starting block.  Slices of 3 blocks cut through
+    # runs, so a slice boundary inside a run's row would show.
+    monkeypatch.setattr(prng, "_PHILOX_SLICE", 3)
+    got = philox_blocks(_EDGE_KEYS, first, 5)
+    assert got.shape == (_EDGE_KEYS.size, 20) and got.dtype == np.uint64
+    for a, key in enumerate(_EDGE_KEYS):
+        if first <= 1000:
+            want = Philox(key=int(key)).random_raw(4 * (first + 5))[4 * first :]
+        else:
+            # Philox(counter=c) draws its next block from counter c + 1,
+            # which is block c of the fresh stream.
+            want = Philox(key=int(key), counter=first).random_raw(20)
+        np.testing.assert_array_equal(got[a], want)
+
+
+def test_routes_agree_at_every_offset(monkeypatch):
+    # Both routes return identical arrays for every count and start: steps
+    # at each skip-double offset of a 4-output counter block, and sign
+    # steps at many lead-bit offsets inside a 64-bit output.
+    starts = [(t0, nsteps) for t0 in (0, 1, 2, 3, 5, 21, 43, 64, 9_999) for nsteps in (1, 3, 17)]
+    for count in (1, 2, 3, 5, 7, 64, 100):
+        for t0, nsteps in starts:
+            ts = np.arange(t0, t0 + nsteps)
+            for fn in (uniforms_at, bits_at):
+                out = {}
+                for route in ROUTES:
+                    _route(monkeypatch, route)
+                    out[route] = fn(_EDGE_KEYS, ts, count)
+                    assert out[route].flags.c_contiguous
+                assert out["loop"].dtype == out["vector"].dtype
+                np.testing.assert_array_equal(out["vector"], out["loop"])
+    assert {(t0 * c) % 4 for t0, _ in starts for c in (1, 3)} == {0, 1, 2, 3}
+    assert len({(t0 * c) % 64 for t0, _ in starts for c in (3, 5, 7)}) >= 15
+
+
+def test_threshold_requests_read_the_fresh_stream():
+    # Under the default thresholds: _VECTOR_RUNS runs reading _VECTOR_BLOCKS
+    # blocks go through philox_blocks, one run fewer or one output more
+    # through the loop.  All read each run's fresh stream.
+    many = run_keys(3, np.arange(prng._VECTOR_RUNS))
+    count = 4 * prng._VECTOR_BLOCKS
+    cases = [(many, count, True), (many[1:], count, False), (many, count + 1, False)]
+    for keys, count, vectorized in cases:
+        assert prng._vectorized(keys.size, 0, count) == vectorized
+        got = uniforms_at(keys, [0], count)
+        bits = bits_at(keys, [0], 64 * count)
+        for a in (0, keys.size // 2, keys.size - 1):
+            np.testing.assert_array_equal(got[a, 0], _fresh_stream(keys[a], count))
+            np.testing.assert_array_equal(bits[a, 0], _fresh_bits(keys[a], 64 * count))
