@@ -20,12 +20,13 @@ noise draw is a pure function of (base_seed, run_index, t, agent) and
 every per-run reduction has a fixed order, so a run's trajectory is
 bit-identical no matter which other runs share the batch.
 
-Audit tails run in segments.  Once every running run of a lockstep
-batch is synchronized, each step's mean is the total over agents, so
-_Lockstep.segment advances a stretch of steps without distances and
-then takes their d_V in one batched call.  A segment keeps its steps up
-to the first at which some running run leaves synchronization, so the
-states stay those of the step-by-step loop, bit for bit.
+Each pass of the loop takes one dense step or, once every running run
+of a lockstep batch is synchronized, a segment of one or more steps:
+each step's mean is then the total over agents, so _Lockstep.segment,
+the one synchronized step, takes its steps without distances and their
+d_V in one batched call.  A pass keeps its steps up to the first at
+which a running run changes status, then applies that change in one
+block, so the states are those of the step-by-step loop, bit for bit.
 """
 
 from __future__ import annotations
@@ -65,14 +66,19 @@ _SEGMENT_SHARE = 8
 
 @dataclass
 class TrajectoryRecord:
-    """Opt-in strided diagnostics for a single run."""
+    """Snapshots (steps, n, d) of one run at every stride-th step and its last.
+
+    Its d_V series is model.max_pairwise_distance of each snapshot.
+    """
 
     stride: int
     times: np.ndarray
-    d_v: np.ndarray
-    cluster_gap: np.ndarray | None = None
-    snapshot_times: np.ndarray | None = None
-    snapshots: np.ndarray | None = None
+    snapshots: np.ndarray
+
+    @property
+    def snapshot_times(self) -> np.ndarray:
+        """times, under the name of the snapshot_stride that sets them."""
+        return self.times
 
 
 @dataclass
@@ -96,46 +102,22 @@ def cluster_gap(states: np.ndarray, n1: int) -> float:
     return float(np.sqrt(sq_norm_last(diff)))
 
 
-def _gap_partition(cfg: ModelConfig) -> int | None:
-    if cfg.initial.kind == "two_cluster":
-        return cfg.initial.sizes[0]
-    return None
-
-
 class _Recorder:
-    """Strided d_V / gap / snapshot series for a single-run batch."""
+    """Snapshots of a single-run batch, fed one block of steps at a time."""
 
-    def __init__(self, cfg: ModelConfig, stride: int, snapshot_stride: int):
+    def __init__(self, stride: int):
         self.stride = stride
-        self.snapshot_stride = snapshot_stride
-        self.n1 = _gap_partition(cfg)
         self.times: list[int] = []
-        self.d_v: list[float] = []
-        self.gaps: list[float] = []
-        self.snap_times: list[int] = []
         self.snaps: list[np.ndarray] = []
 
-    def observe(self, t: int, states: np.ndarray, dv2: float, final: bool) -> None:
-        if self.stride and (t % self.stride == 0 or final):
-            if not self.times or self.times[-1] != t:
-                self.times.append(t)
-                self.d_v.append(float(np.sqrt(dv2)))
-                if self.n1 is not None:
-                    self.gaps.append(cluster_gap(states, self.n1))
-        if self.snapshot_stride and (t % self.snapshot_stride == 0 or final):
-            if not self.snap_times or self.snap_times[-1] != t:
-                self.snap_times.append(t)
-                self.snaps.append(states.copy())
+    def observe(self, ts: np.ndarray, states: np.ndarray, deadline: int) -> None:
+        """Keep the states (S, n, d, 1) of steps ts the run takes at its stride or last step."""
+        keep = (ts <= deadline) & ((ts % self.stride == 0) | (ts == deadline))
+        self.times.extend(ts[keep].tolist())
+        self.snaps.extend(states[keep, :, :, 0])
 
     def build(self) -> TrajectoryRecord:
-        return TrajectoryRecord(
-            stride=self.stride,
-            times=np.asarray(self.times, dtype=np.int64),
-            d_v=np.asarray(self.d_v, dtype=np.float64),
-            cluster_gap=np.asarray(self.gaps) if self.gaps else None,
-            snapshot_times=np.asarray(self.snap_times, dtype=np.int64) if self.snap_times else None,
-            snapshots=np.stack(self.snaps) if self.snaps else None,
-        )
+        return TrajectoryRecord(self.stride, np.asarray(self.times, dtype=np.int64), np.stack(self.snaps))
 
 
 class _Lockstep:
@@ -143,10 +125,10 @@ class _Lockstep:
 
     Distances go into a runs-last (n, n, A) buffer through its (A, n, n)
     view, and a step's neighbor sums take their adjacency from the
-    previous step's distances there, unless every running run is
-    synchronized and each mean is the total over agents.  Its d_V is
-    always exact.  From a synchronized batch, segment() advances several
-    steps by the total and takes their d_V in one call.
+    previous step's distances there.  Its d_V is always exact.  From a
+    synchronized batch, segment() advances one or more steps by the
+    total over agents and takes their d_V in one call; that leaves the
+    distance buffer stale, and the next mean() refreshes it.
     """
 
     def __init__(self, cfg: ModelConfig, a: int):
@@ -155,6 +137,7 @@ class _Lockstep:
         self.chunk_steps = _CHUNK_STEPS
         self.d2, self.prod, self.deg = np.empty((n, n, a)), np.empty((n, n, a)), np.empty((n, a))
         self.seg = None
+        self.stale = False
 
     def compact(self, keep) -> None:
         self.d2 = np.compress(keep, self.d2, axis=2)
@@ -165,10 +148,14 @@ class _Lockstep:
     def segment_steps(self, states: np.ndarray) -> int:
         """Steps segment() may take at once; 0 where the total is not the kernel's sum.
 
-        The total over agents equals the dense kernel's sum only when the
-        reduce adds one agent slice at a time (see mean).  A segment's
-        buffers, its states and two (n - 1, A) distance buffers per step,
-        hold at most walks._CHUNK_ELEMS // _SEGMENT_SHARE doubles.
+        With every pair a neighbor, the total over agents is
+        runs_last_sums with an all-ones adjacency, bit for bit, as long
+        as the reduce adds the outer agent axis one slice at a time:
+        that needs a contiguous inner axis of length > 1.  Over a lone
+        contiguous axis (d = 1, one run) it would add pairwise.  A
+        segment's buffers, its states and two (n - 1, A) distance
+        buffers per step, hold at most walks._CHUNK_ELEMS //
+        _SEGMENT_SHARE doubles.
         """
         n, d, a = states.shape
         if d * a == 1 or not states.flags.c_contiguous:
@@ -183,8 +170,9 @@ class _Lockstep:
         state, as in the dense loop.  Every step takes the total over
         agents, which is the dense kernel's mean as long as every
         running run stays synchronized: the caller keeps the steps up to
-        the first at which one leaves.  Returns the states, a (S, n, d, A)
-        view of a buffer the next segment overwrites, and d_V^2 (S, A).
+        the first at which one leaves.  Returns the states, a (S, n, d,
+        A) view of a buffer the next segment overwrites, and d_V^2 (S,
+        A); the distance buffer is left stale.
 
         d_V^2 is the largest pairwise_sq_dists entry over pairs i < j,
         one call per agent i over all steps: entry [j, i] equals [i, j]
@@ -192,6 +180,7 @@ class _Lockstep:
         maximum with half its terms.
         """
         steps, n, d, a = noise.shape
+        self.stale = True
         if self.seg is None or self.seg[0].shape[0] < steps:
             shapes = ((n, d, a), (n - 1, a), (n - 1, a))
             self.seg = tuple(np.empty((steps,) + shape) for shape in shapes)
@@ -221,14 +210,10 @@ class _Lockstep:
         pairwise_sq_dists(states.transpose(runs), out=out, tmp=tmp)
         return self.d2.max(axis=(0, 1))
 
-    def mean(self, states: np.ndarray, out: np.ndarray, synced: bool) -> np.ndarray:
-        # With every pair a neighbor, the total over agents is
-        # runs_last_sums with an all-ones adjacency, bit for bit, as long
-        # as the reduce adds the outer agent axis one slice at a time:
-        # that needs a contiguous inner axis of length > 1.  Over a lone
-        # contiguous axis (d = 1, one run) it would add pairwise.
-        if synced and states.flags.c_contiguous and states[0].size > 1:
-            return np.divide(np.add.reduce(states, axis=0), states.shape[0], out=out)
+    def mean(self, states: np.ndarray, out: np.ndarray) -> np.ndarray:
+        if self.stale:
+            self.sq_dv(states, exact=False)
+            self.stale = False
         out, deg = runs_last_sums(states, self.d2, self.epsilon, out=out, prod=self.prod, deg=self.deg)
         out /= deg[:, None]
         return out
@@ -275,10 +260,10 @@ class _Indexed:
             out[k] = max_sq_dist(np.ascontiguousarray(states[:, :, k]))
         return out
 
-    def mean(self, states: np.ndarray, out: np.ndarray, synced: bool) -> np.ndarray:
+    def mean(self, states: np.ndarray, out: np.ndarray) -> np.ndarray:
         # NeighborIndex is read from this module at call time, so it can
         # be rebound from outside (hkbench/tracing.py does).  Its sums add
-        # in cell order whether or not the run is synchronized.
+        # in cell order, synchronized run or not.
         for k in range(states.shape[2]):
             x = np.ascontiguousarray(states[:, :, k])
             sums, deg = NeighborIndex(x, self.epsilon).neighbor_sums()
@@ -292,7 +277,6 @@ def run_batch(
     run_indices,
     horizon: int,
     extra_after_hit: int = 0,
-    record_stride: int = 0,
     snapshot_stride: int = 0,
 ) -> BatchResult:
     """Advance one batch of runs to completion.
@@ -302,23 +286,22 @@ def run_batch(
     need be) and absorb_ok[k] reports whether d_V stayed <= epsilon
     throughout run k's continuation window.  All A runs form one batch,
     whose lockstep buffers hold n^2 A doubles each, so callers bound A
-    (run_ensemble does).  record_stride and snapshot_stride record a
-    single run.
+    (run_ensemble does).  Each pass of the step loop takes a dense step
+    or a synchronized segment, then applies status changes in one block.
+    snapshot_stride records a single run.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     run_indices = np.asarray(run_indices, dtype=np.int64)
     a0 = run_indices.shape[0]
-    if (record_stride or snapshot_stride) and a0 > 1:
-        raise ValueError(f"record_stride and snapshot_stride record a single run, got {a0} runs")
+    if snapshot_stride and a0 > 1:
+        raise ValueError(f"snapshot_stride records a single run, got {a0} runs")
     if a0 == 0:
         return BatchResult(samples=_samples([], [], [], [], horizon, base_seed))
     n, d = cfg.n, cfg.d
     eps2 = cfg.epsilon * cfg.epsilon
     bounded = cfg.space_mode == "bounded"
-    recorder = None
-    if record_stride or snapshot_stride:
-        recorder = _Recorder(cfg, record_stride, snapshot_stride)
+    recorder = _Recorder(snapshot_stride) if snapshot_stride else None
 
     keys = run_keys(base_seed, run_indices)
     # Runs on the last axis: every elementwise op and every reduction of
@@ -343,7 +326,7 @@ def run_batch(
     dve_all[hit0] = np.sqrt(dv2[hit0])
     deadline = np.where(hit0, extra_after_hit, horizon).astype(np.int64)
     if recorder:
-        recorder.observe(0, states[:, :, 0], float(dv2[0]), final=bool(deadline[0] == 0))
+        recorder.observe(np.zeros(1, dtype=np.int64), states[None], deadline[0])
 
     w = uniforms_per_draw(cfg.noise.family, d)
     t = 0
@@ -370,47 +353,36 @@ def run_batch(
             running = tk <= deadline
             all_running = running.all()
             all_synced = synced.all() if all_running else (synced | ~running).all()
-            seg_steps = min(b - k, kernel.segment_steps(states)) if all_synced else 0
-            if seg_steps > 1:
-                # Every running run is synchronized, so it has hit and its
+            steps = min(b - k, kernel.segment_steps(states)) if all_synced else 0
+            if steps:
+                # Every running run is synchronized, so it has hit: its
                 # only status change left is leaving synchronization.
-                tks = np.arange(tk, tk + seg_steps)
-                seg_running = tks[:, None] <= deadline
-                seg, seg_dv2 = kernel.segment(states, xi[k : k + seg_steps], seg_running, bounded)
-                left = seg_running & (seg_dv2 > eps2)
-                left_any = left.any(axis=1)
+                seg_running = ts[k : k + steps, None] <= deadline
+                seg, seg_dv2 = kernel.segment(states, xi[k : k + steps], seg_running, bounded)
+                left = (seg_running & (seg_dv2 > eps2)).any(axis=1)
                 # Steps after the first that leaves synchronization did not
                 # take the dense kernel's mean; they are dropped.
-                j_last = int(np.argmax(left_any)) if left_any.any() else seg_steps - 1
-                if left_any[j_last]:
-                    absorb_all[live[left[j_last]]] = False
-                if recorder:
-                    for j in range(j_last + 1):
-                        if seg_running[j, 0]:
-                            tj, final = int(tks[j]), bool(deadline[0] == tks[j])
-                            recorder.observe(tj, seg[j, :, :, 0], float(seg_dv2[j, 0]), final)
-                states = seg[j_last].copy()
-                dv2 = seg_dv2[j_last]
-                synced = dv2 <= eps2
-                if left_any[j_last]:
-                    # The next step's neighbor sums read this state's distances.
-                    kernel.sq_dv(states, exact=False)
-                k += j_last + 1
-                continue
-            new = kernel.mean(states, new, all_synced)
-            new += xi[k]
-            if bounded:
-                _clip_to_box(new)
-            if all_running:
-                states, new = new, states
+                if left.any():
+                    steps = int(np.argmax(left)) + 1
+                tk += steps - 1
+                running, dv2 = seg_running[steps - 1], seg_dv2[steps - 1]
+                states = seg[steps - 1].copy()
             else:
-                states = np.where(running, new, states)
-            # A run censored at the horizon needs its exact d_V there.
-            dv2 = kernel.sq_dv(states, exact=tk == horizon and not hit_live.all())
+                steps = 1
+                new = kernel.mean(states, new)
+                new += xi[k]
+                if bounded:
+                    _clip_to_box(new)
+                if all_running:
+                    states, new = new, states
+                else:
+                    states = np.where(running, new, states)
+                # A run censored at the horizon needs its exact d_V there.
+                dv2 = kernel.sq_dv(states, exact=tk == horizon and not hit_live.all())
+            # One status block at the last kept step tk: a running run first
+            # synchronizes (newly) or, once hit, leaves synchronization
+            # during its audit (viol); newly is a subset of synced.
             synced = dv2 <= eps2
-            # A running run changes status when it first synchronizes
-            # (newly) or, once hit, leaves synchronization during its
-            # audit (viol); newly is a subset of synced.
             change = running & (synced != hit_live)
             if change.any():
                 newly = change & synced
@@ -428,9 +400,10 @@ def run_batch(
                 censoring = running & ~hit_live
                 if censoring.any():
                     dve_all[live[censoring]] = np.sqrt(dv2[censoring])
-            if recorder and running[0]:
-                recorder.observe(tk, states[:, :, 0], float(dv2[0]), final=bool(deadline[0] == tk))
-            k += 1
+            if recorder:
+                block = states[None] if steps == 1 else seg[:steps]
+                recorder.observe(ts[k : k + steps], block, deadline[0])
+            k += steps
         t += b
         # Free this chunk's draws before the next chunk's are drawn.
         del xi
@@ -454,19 +427,10 @@ def run_trajectory(
     base_seed: int = 0,
     run_index: int = 0,
     extra_after_hit: int = 0,
-    record_stride: int = 0,
     snapshot_stride: int = 0,
 ):
     """One run; returns (HittingSample, TrajectoryRecord or None)."""
-    res = run_batch(
-        cfg,
-        base_seed,
-        [run_index],
-        horizon,
-        extra_after_hit=extra_after_hit,
-        record_stride=record_stride,
-        snapshot_stride=snapshot_stride,
-    )
+    res = run_batch(cfg, base_seed, [run_index], horizon, extra_after_hit, snapshot_stride)
     return res.samples[0], res.record
 
 

@@ -73,7 +73,7 @@ class SurvivalCurve:
     censored: int
 
 
-def events_from_samples(samples, horizon: int | None = None):
+def events_from_samples(samples: walks.Samples, horizon: int | None = None):
     """(t_end, hit) arrays for any horizon up to the sampled one.
 
     Evaluating at a smaller horizon reclassifies late hits as censored,
@@ -81,7 +81,6 @@ def events_from_samples(samples, horizon: int | None = None):
     """
     if len(samples) == 0:
         raise ValueError("empty sample list: no runs to evaluate")
-    samples = walks.Samples.of(samples)
     full = samples.horizon
     if horizon is None:
         horizon = full
@@ -117,7 +116,7 @@ def survival_from_events(t_end, hit, horizon: int, grid=None) -> SurvivalCurve:
 def survival_from_samples(samples, horizon: int | None = None, grid=None) -> SurvivalCurve:
     t_end, hit = events_from_samples(samples, horizon)
     if horizon is None:
-        horizon = samples[0].horizon
+        horizon = samples.horizon
     return survival_from_events(t_end, hit, horizon, grid)
 
 

@@ -48,7 +48,7 @@ def _format_once(keys: np.ndarray, fmt) -> list[str]:
     return np.array(fmt(distinct), dtype=object)[inverse].tolist()
 
 
-def write_samples(path, samples, fingerprint: str) -> None:
+def write_samples(path, samples: Samples, fingerprint: str) -> None:
     """One line per sample, from the columns; no field ever needs csv quoting.
 
     t_hit_or_horizon is the t_hit column: a censored run's t_hit is its
@@ -56,7 +56,6 @@ def write_samples(path, samples, fingerprint: str) -> None:
     (by bit pattern, so 0.0 and -0.0 keep their own repr) is
     formatted once.
     """
-    samples = Samples.of(samples)
     flags = _format_once(
         samples.t_hit * 2 + samples.hit,
         lambda keys: [f"{k & 1},{k >> 1},{1 - (k & 1)}," for k in keys.tolist()],

@@ -105,22 +105,8 @@ class Samples(Sequence):
     base_seed: int
 
     @classmethod
-    def of(cls, samples) -> "Samples":
-        """samples itself if columnar, else the columns of a sequence of rows.
-
-        The rows' horizon and base_seed are the first row's (0 without rows).
-        """
-        if isinstance(samples, Samples):
-            return samples
-        rows = list(samples)
-        columns = ([getattr(s, name) for s in rows] for name in _COLUMNS)
-        shared = (rows[0].horizon, rows[0].base_seed) if rows else (0, 0)
-        return _samples(*columns, *shared)
-
-    @classmethod
     def concat(cls, parts) -> "Samples":
-        """The rows of several non-empty sample sequences, in order."""
-        parts = [cls.of(p) for p in parts]
+        """The rows of a non-empty list of Samples, in order."""
         return cls(
             *(np.concatenate([getattr(p, name) for p in parts]) for name in _COLUMNS),
             parts[0].horizon,

@@ -32,7 +32,7 @@ from hklab.output import (
 from hklab.presets import PRESET_NAMES, preset, preset_variants, scaled_preset
 from hklab.walks import (
     SIMPLE_STEP,
-    HittingSample,
+    Samples,
     StretchedWalkSpec,
     WalkSpec,
     first_passage_below,
@@ -272,14 +272,16 @@ def test_sample_file_roundtrip_exact(tmp_path):
 
 
 def test_sample_file_exact_bytes(tmp_path):
-    # Native and numpy field types, a censored row and an infinite end
-    # value all format the same way: ints in decimal, floats by repr.
-    samples = [
-        HittingSample(0, True, 7, 100, 0.1, 5),
-        HittingSample(np.int64(1), np.bool_(False), np.int64(100), 100, np.float64(0.1 + 0.2), 5),
-        HittingSample(2, False, 50, 50, np.inf, 5),
-        HittingSample(np.int64(3), np.bool_(True), np.int64(0), 100, np.float64(1e-5), 5),
-    ]
+    # Censored rows and an infinite end value format like the others:
+    # ints in decimal, floats by repr.
+    samples = Samples(
+        np.array([0, 1, 2, 3]),
+        np.array([True, False, False, True]),
+        np.array([7, 100, 50, 0]),
+        np.array([0.1, 0.1 + 0.2, np.inf, 1e-5]),
+        100,
+        5,
+    )
     path = tmp_path / "samples.csv"
     write_samples(path, samples, "ab12")
     assert path.read_bytes() == (

@@ -22,7 +22,7 @@ from hklab.engine import (
     run_trajectory,
 )
 from hklab.ensemble import run_ensemble
-from hklab.model import InitialCondition, ModelConfig, hk_step
+from hklab.model import InitialCondition, ModelConfig, hk_step, max_pairwise_distance
 from hklab.noise import NoiseSpec, noise_block
 from hklab.presets import preset
 from hklab.prng import run_keys
@@ -229,14 +229,13 @@ def test_indexed_path_steps_each_run_to_its_deadline(monkeypatch):
 
 def test_indexed_trajectory_replays_lockstep_snapshots(monkeypatch):
     # On a dyadic config the indexed kernel reproduces the lockstep
-    # snapshots bit for bit.  Its d_V series reads NaN where the
-    # coordinate-range prune settled d_V > epsilon and the lockstep value
-    # elsewhere: at a hit, through the audit, and at a censored horizon.
+    # snapshots bit for bit: at a hit, through the audit, and at a
+    # censored horizon.
     cfg = _dyadic_cfg()
     hit = _first_run(cfg, 9, 200, lambda s, ok: s.hit, extra_after_hit=5)
     censored = _first_run(cfg, 801, 100, lambda s, ok: not s.hit, extra_after_hit=5)
     cases = [(9, hit.run_index, 200), (801, censored.run_index, 100)]
-    kw = dict(extra_after_hit=5, record_stride=1, snapshot_stride=1)
+    kw = dict(extra_after_hit=5, snapshot_stride=1)
 
     def trajectories():
         return [run_trajectory(cfg, h, base_seed=b, run_index=r, **kw) for b, r, h in cases]
@@ -247,13 +246,8 @@ def test_indexed_trajectory_replays_lockstep_snapshots(monkeypatch):
     assert [s.hit for s, _ in lockstep] == [True, False]
     for (s_lock, rec_lock), (s_ind, rec_ind) in zip(lockstep, indexed):
         assert _sample_tuple(s_ind) == _sample_tuple(s_lock)
-        np.testing.assert_array_equal(rec_ind.snapshot_times, rec_lock.snapshot_times)
         np.testing.assert_array_equal(rec_ind.snapshots, rec_lock.snapshots)
         np.testing.assert_array_equal(rec_ind.times, rec_lock.times)
-        known = ~np.isnan(rec_ind.d_v)
-        assert known[-1] and not known.all()
-        np.testing.assert_array_equal(rec_ind.d_v[known], rec_lock.d_v[known])
-        assert not np.isnan(rec_lock.d_v).any()
 
 
 def test_hk_step_replays_lockstep_snapshots_bitwise(monkeypatch):
@@ -358,16 +352,30 @@ def test_audit_segments_match_dense_steps_and_solo_runs(monkeypatch):
     # equals its solo runs and the dense loop (segments off) bit for bit,
     # in samples and in absorb_ok.  The loose config (delta > epsilon/2,
     # but near enough that its batch synchronizes as a whole) leaves
-    # synchronization inside segments.
+    # synchronization inside segments.  The micro config (AC-1's shape:
+    # two agents in d = 1 with sign noise) takes one-step segments, as
+    # a batch too wide for longer ones does; its solo runs (d * A = 1)
+    # take none.
     monkeypatch.setattr(engine, "_CHUNK_STEPS", 23)
     calls = _segment_spy(monkeypatch)
     loose = replace(
         _bounded_cfg(n=6, d=2), noise=NoiseSpec("uniform_ball", 0.3), allow_large_delta=True
     )
-    for cfg in (_bounded_cfg(), _bounded_cfg(n=10, d=3), loose):
+    micro = ModelConfig(
+        n=2,
+        d=1,
+        epsilon=1.0,
+        space_mode="bounded",
+        noise=NoiseSpec("rademacher_axes", 0.5),
+        initial=InitialCondition("explicit", values=((-1.0,), (1.0,))),
+    )
+    share = engine._SEGMENT_SHARE
+    for cfg in (_bounded_cfg(), _bounded_cfg(n=10, d=3), loose, micro):
+        # A budget of one double per segment leaves every segment one step.
+        monkeypatch.setattr(engine, "_SEGMENT_SHARE", walks._CHUNK_ELEMS if cfg is micro else share)
         calls.clear()
         batch = run_batch(cfg, 7, np.arange(8), 600, extra_after_hit=200)
-        assert len(calls) > 3 and max(steps for steps, _ in calls) > 1
+        assert len(calls) > 3 and (max(steps for steps, _ in calls) > 1) == (cfg is not micro)
         assert any(truncated for _, truncated in calls) == (cfg is loose)
         assert (cfg is loose) == (not batch.absorb_ok.all())
         for i in range(8):
@@ -493,15 +501,16 @@ def test_trajectory_recorder_strides():
     cfg = _dyadic_cfg()
     run_index = _first_run(cfg, 801, 100, lambda s, ok: not s.hit).run_index
     sample, rec = run_trajectory(
-        cfg, horizon=100, base_seed=801, run_index=run_index, record_stride=7
+        cfg, horizon=100, base_seed=801, run_index=run_index, snapshot_stride=7
     )
     assert not sample.hit
     assert rec.times[0] == 0 and rec.times[-1] == 100
     interior = rec.times[:-1]
     assert np.all(interior % 7 == 0)
-    assert rec.d_v.shape == rec.times.shape
-    assert np.all(rec.d_v > 0)
-    assert rec.d_v[-1] == pytest.approx(sample.end_value)
+    d_v = np.array([max_pairwise_distance(x) for x in rec.snapshots])
+    assert d_v.shape == rec.times.shape
+    assert np.all(d_v > 0)
+    assert d_v[-1] == pytest.approx(sample.end_value)
 
 
 def test_trajectory_snapshots_and_gap():
@@ -513,22 +522,19 @@ def test_trajectory_snapshots_and_gap():
         noise=NoiseSpec("uniform_cube", 0.25, requires_symmetry=True),
         initial=InitialCondition("two_cluster", separation_eps=6.0, sizes=(2, 2)),
     )
-    sample, rec = run_trajectory(
-        cfg, horizon=50, base_seed=1, record_stride=10, snapshot_stride=25
-    )
-    assert rec.cluster_gap is not None
-    assert rec.cluster_gap.shape == rec.times.shape
-    assert rec.cluster_gap[0] == pytest.approx(6.0 * 0.5)
+    sample, rec = run_trajectory(cfg, horizon=50, base_seed=1, snapshot_stride=25)
+    gap = np.array([cluster_gap(x, 2) for x in rec.snapshots])
+    assert gap.shape == rec.times.shape
+    assert gap[0] == pytest.approx(6.0 * 0.5)
     assert rec.snapshots.shape[1:] == (4, 2)
-    assert rec.snapshot_times[0] == 0
-    assert rec.snapshot_times[-1] == sample.t_end
-    assert np.all(rec.snapshot_times[:-1] % 25 == 0)
+    assert rec.times[0] == 0
+    assert rec.times[-1] == sample.t_end
+    assert np.all(rec.times[:-1] % 25 == 0)
 
 
 def test_recording_strides_need_one_run():
-    for kw in (dict(record_stride=1), dict(snapshot_stride=5)):
-        with pytest.raises(ValueError, match="got 3 runs"):
-            run_batch(_dyadic_cfg(), 0, np.arange(3), 10, **kw)
+    with pytest.raises(ValueError, match="got 3 runs"):
+        run_batch(_dyadic_cfg(), 0, np.arange(3), 10, snapshot_stride=5)
 
 
 def test_cluster_gap_geometry_and_validation():

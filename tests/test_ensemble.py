@@ -26,18 +26,18 @@ from hklab.ensemble import (
 )
 from hklab.model import InitialCondition, ModelConfig
 from hklab.noise import NoiseSpec
-from hklab.walks import HittingSample
 
 
-def _sample(run_index, t_hit, horizon):
-    hit = t_hit is not None
-    return HittingSample(
-        run_index=run_index,
-        hit=hit,
-        t_hit=t_hit if hit else horizon,
-        horizon=horizon,
-        end_value=0.1 if hit else 2.0,
-        base_seed=0,
+def _samples(t_hits, horizon):
+    """Runs 0, 1, ... hitting at t_hits; None is a run censored at the horizon."""
+    hit = [t is not None for t in t_hits]
+    return walks._samples(
+        range(len(t_hits)),
+        hit,
+        [t if t is not None else horizon for t in t_hits],
+        [0.1 if h else 2.0 for h in hit],
+        horizon,
+        0,
     )
 
 
@@ -66,13 +66,7 @@ def test_survival_grid_shape():
 
 
 def test_survival_estimator_counts():
-    horizon = 100
-    samples = [
-        _sample(0, 3, horizon),
-        _sample(1, 3, horizon),
-        _sample(2, 50, horizon),
-        _sample(3, None, horizon),
-    ]
+    samples = _samples([3, 3, 50, None], 100)
     curve = survival_from_samples(samples)
     assert curve.values[curve.times == 0][0] == 1.0
     # S(3) counts runs with min(T, horizon) >= 3: all four.
@@ -87,7 +81,7 @@ def test_survival_estimator_counts():
 
 
 def test_events_reclassify_at_smaller_horizon():
-    samples = [_sample(0, 5, 100), _sample(1, 80, 100), _sample(2, None, 100)]
+    samples = _samples([5, 80, None], 100)
     t_end, hit = events_from_samples(samples, 50)
     np.testing.assert_array_equal(t_end, [5, 50, 50])
     np.testing.assert_array_equal(hit, [True, False, False])
@@ -103,12 +97,13 @@ def test_events_reclassify_at_smaller_horizon():
 
 
 def test_empty_sample_list_rejected():
+    empty = _samples([], 10)
     for call in (
-        lambda: events_from_samples([]),
-        lambda: events_from_samples([], 10),
-        lambda: survival_from_samples([]),
-        lambda: summarize([], 10, 0),
-        lambda: censored_mean_growth([], [5, 10]),
+        lambda: events_from_samples(empty),
+        lambda: events_from_samples(empty, 10),
+        lambda: survival_from_samples(empty),
+        lambda: summarize(empty, 10, 0),
+        lambda: censored_mean_growth(empty, [5, 10]),
     ):
         with pytest.raises(ValueError, match="empty sample list"):
             call()
@@ -264,7 +259,8 @@ def test_batches_never_exceed_width(monkeypatch, n):
 
     def fake(cfg, base_seed, idxs, horizon, **kwargs):
         batches.append(len(idxs))
-        return BatchResult([HittingSample(int(i), True, 1, horizon, 0.0, base_seed) for i in idxs])
+        ones = np.ones(len(idxs))
+        return BatchResult(walks._samples(idxs, ones, ones, np.zeros(len(idxs)), horizon, base_seed))
 
     monkeypatch.setattr(walks, "_CHUNK_ELEMS", budget)
     monkeypatch.setattr(ensemble, "run_batch", fake)
@@ -294,7 +290,7 @@ def test_growth_points_match_fresh_short_run():
 
 
 def test_summarize_incomplete_flag():
-    samples = [_sample(0, 3, 100), _sample(1, None, 100)]
+    samples = _samples([3, None], 100)
     s = summarize(samples, 100, base_seed=0, incomplete=True)
     assert s.incomplete
     assert s.hit_fraction == 0.5

@@ -24,7 +24,6 @@ from hklab.presets import PRESET_NAMES, preset, preset_variants, scaled_preset
 from hklab.projected import hitting_time_td
 from hklab.walks import (
     ClusterWalkSpec,
-    HittingSample,
     Samples,
     StretchedWalkSpec,
     WalkSpec,
@@ -120,16 +119,14 @@ def test_samples_sequence_behaviour():
     rows = list(samples)
     assert isinstance(samples[1:4], Samples) and list(samples[1:4]) == rows[1:4]
     assert samples[-1] == rows[-1]
-    assert Samples.of(rows) == samples and Samples.of(samples) is samples
-    again = Samples.concat([samples[:2], rows[2:]])
+    again = Samples.concat([samples[:2], samples[2:5], samples[5:]])
     np.testing.assert_array_equal(again.end_value, samples.end_value)
     assert again == samples
     assert samples != rows[:-1] and samples != rows[::-1]
     assert (samples == 3) is False
-    t_rows, hit_rows = events_from_samples(rows, 10)
-    t_cols, hit_cols = events_from_samples(samples, 10)
-    np.testing.assert_array_equal(t_rows, t_cols)
-    np.testing.assert_array_equal(hit_rows, hit_cols)
+    t_end, hit = events_from_samples(samples, 10)
+    np.testing.assert_array_equal(t_end, [r.t_hit if r.hit and r.t_hit <= 10 else 10 for r in rows])
+    np.testing.assert_array_equal(hit, [r.hit and r.t_hit <= 10 for r in rows])
     empty = run_batch(_bounded_cfg(), 0, [], 10).samples
     assert isinstance(empty, Samples) and len(empty) == 0 and empty == []
 
@@ -187,10 +184,9 @@ def test_writer_keeps_each_end_value_repr(tmp_path):
     # repr, and repeated values and infinities format like the rows do.
     values = [0.0, -0.0, 0.1, 0.1, np.inf, 1e-300, 0.30000000000000004, 0.0]
     # Even runs hit at step i, odd ones are censored at the horizon 9.
-    rows = [
-        HittingSample(i, i % 2 == 0, i if i % 2 == 0 else 9, 9, v, 1) for i, v in enumerate(values)
-    ]
-    cli.write_samples(tmp_path / "a.csv", rows, "ff")
-    _reference_write(tmp_path / "b.csv", rows, "ff")
+    i = np.arange(len(values))
+    samples = Samples(i, i % 2 == 0, np.where(i % 2 == 0, i, 9), np.array(values), 9, 1)
+    cli.write_samples(tmp_path / "a.csv", samples, "ff")
+    _reference_write(tmp_path / "b.csv", samples, "ff")
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
     assert b",-0.0\n" in (tmp_path / "a.csv").read_bytes()
