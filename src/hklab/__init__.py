@@ -21,10 +21,7 @@ from .config import (
 from .engine import (
     BatchResult,
     TrajectoryRecord,
-    check_absorbing,
-    cluster_gap,
     run_batch,
-    run_trajectory,
 )
 from .ensemble import (
     EnsembleError,
@@ -40,7 +37,6 @@ from .ensemble import (
     hit_fraction,
     run_ensemble,
     summarize,
-    survival_from_samples,
 )
 from .enumeration import EnumerationTooLarge, exact_stopping_law, survival_points
 from .model import (
@@ -53,8 +49,8 @@ from .model import (
     validate_model_config,
 )
 from .neighbors import NeighborIndex
-from .noise import NoiseSpec, sample_noise, validate_noise_spec
-from .presets import PRESET_NAMES, preset, preset_family, preset_variants
+from .noise import NoiseSpec, validate_noise_spec
+from .presets import PRESET_NAMES, preset, preset_variants
 from .projected import (
     AuditResult,
     MapSpec,

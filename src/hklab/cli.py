@@ -50,20 +50,26 @@ EXIT_RESOURCE = 5
 ENV_WORKERS = "HKLAB_WORKERS"
 
 
+def _positive_int(text: str) -> int:
+    """A worker count from --workers or HKLAB_WORKERS: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
+
+
 def _resolve_workers(cfg: ExperimentConfig, flag: int | None) -> int:
     if flag is not None:
         return flag
     env = os.environ.get(ENV_WORKERS)
     if env is not None:
         try:
-            value = int(env)
-            if value < 1:
-                raise ValueError
-        except ValueError:
-            raise ConfigError(
-                f"{ENV_WORKERS}={env!r} is not a positive integer", kind="parse"
-            ) from None
-        return value
+            return _positive_int(env)
+        except argparse.ArgumentTypeError as err:
+            raise ConfigError(f"{ENV_WORKERS}={err}", kind="parse") from None
     return cfg.ensemble.workers
 
 
@@ -290,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run an experiment and write outputs")
     p.add_argument("config")
     p.add_argument("--out", default=".", help="output directory (default: current)")
-    p.add_argument("--workers", type=int, default=None, help="override worker count")
+    p.add_argument("--workers", type=_positive_int, default=None, help="override worker count")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("preset", help="show or emit a named configuration")

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import yaml
 
 from .model import InitialCondition, ModelConfig, validate_model_config
-from .noise import NoiseSpec, validate_noise_spec
+from .noise import NoiseSpec
 from .projected import MapSpec, ProjectedSystemSpec, validate_projected_spec
 from .walks import SIMPLE_STEP, StretchedWalkSpec, WalkSpec, validate_walk_spec
 
@@ -92,9 +92,6 @@ class _Section:
 
     def _tag(self, key: str) -> str:
         return f"{self.prefix}{key}"
-
-    def has(self, key: str) -> bool:
-        return key in self.data
 
     def take(self, key: str, default=None):
         self.seen.add(key)
@@ -503,7 +500,3 @@ def config_fingerprint(cfg: ExperimentConfig) -> str:
     """sha256 over the canonical JSON form; stamped into every output."""
     blob = json.dumps(config_to_dict(cfg), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def with_workers(cfg: ExperimentConfig, workers: int) -> ExperimentConfig:
-    return replace(cfg, ensemble=replace(cfg.ensemble, workers=workers))

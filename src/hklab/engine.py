@@ -42,7 +42,6 @@ from .model import (
     ModelConfig,
     pairwise_sq_dists,
     runs_last_sums,
-    sq_norm_last,
 )
 from .neighbors import NeighborIndex, max_sq_dist
 from .noise import noise_block, uniforms_per_draw
@@ -71,14 +70,8 @@ class TrajectoryRecord:
     Its d_V series is model.max_pairwise_distance of each snapshot.
     """
 
-    stride: int
     times: np.ndarray
     snapshots: np.ndarray
-
-    @property
-    def snapshot_times(self) -> np.ndarray:
-        """times, under the name of the snapshot_stride that sets them."""
-        return self.times
 
 
 @dataclass
@@ -92,14 +85,6 @@ def _clip_to_box(x: np.ndarray) -> np.ndarray:
     """np.clip(x, BOX_LO, BOX_HI, out=x) bit for bit, at half its per-call cost."""
     np.maximum(x, BOX_LO, out=x)
     return np.minimum(x, BOX_HI, out=x)
-
-
-def cluster_gap(states: np.ndarray, n1: int) -> float:
-    """Distance between the centroids of rows [:n1] and rows [n1:]."""
-    if n1 < 1 or n1 >= states.shape[0]:
-        raise ValueError(f"cluster split {n1} leaves an empty side for n={states.shape[0]}")
-    diff = states[:n1].mean(axis=0) - states[n1:].mean(axis=0)
-    return float(np.sqrt(sq_norm_last(diff)))
 
 
 class _Recorder:
@@ -117,7 +102,7 @@ class _Recorder:
         self.snaps.extend(states[keep, :, :, 0])
 
     def build(self) -> TrajectoryRecord:
-        return TrajectoryRecord(self.stride, np.asarray(self.times, dtype=np.int64), np.stack(self.snaps))
+        return TrajectoryRecord(np.asarray(self.times, dtype=np.int64), np.stack(self.snaps))
 
 
 class _Lockstep:
@@ -419,42 +404,3 @@ def run_batch(
         absorb_ok=absorb_all if extra_after_hit else None,
         record=recorder.build() if recorder else None,
     )
-
-
-def run_trajectory(
-    cfg: ModelConfig,
-    horizon: int,
-    base_seed: int = 0,
-    run_index: int = 0,
-    extra_after_hit: int = 0,
-    snapshot_stride: int = 0,
-):
-    """One run; returns (HittingSample, TrajectoryRecord or None)."""
-    res = run_batch(cfg, base_seed, [run_index], horizon, extra_after_hit, snapshot_stride)
-    return res.samples[0], res.record
-
-
-def check_absorbing(
-    cfg: ModelConfig,
-    base_seed: int,
-    run_index: int,
-    t_hit: int,
-    extra_steps: int = 1000,
-) -> bool:
-    """Continue a hit run's own noise stream and verify d_V stays <= epsilon.
-
-    Refuses when delta > epsilon/2 (the absorbing property is then not
-    guaranteed) unless the config carries allow_large_delta.
-    """
-    if cfg.delta > cfg.epsilon / 2.0 and not cfg.allow_large_delta:
-        raise ValueError(
-            "delta > epsilon/2: absorbing check is meaningless without allow_large_delta"
-        )
-    horizon = max(t_hit, 1)
-    res = run_batch(cfg, base_seed, [run_index], horizon, extra_after_hit=extra_steps)
-    sample = res.samples[0]
-    if not sample.hit or sample.t_hit != t_hit:
-        raise ValueError(
-            f"run {run_index} hits at {sample.t_hit} (hit={sample.hit}), not at claimed {t_hit}"
-        )
-    return bool(res.absorb_ok[0])

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,13 +111,6 @@ def survival_from_events(t_end, hit, horizon: int, grid=None) -> SurvivalCurve:
         horizon=horizon,
         censored=int((~hit).sum()),
     )
-
-
-def survival_from_samples(samples, horizon: int | None = None, grid=None) -> SurvivalCurve:
-    t_end, hit = events_from_samples(samples, horizon)
-    if horizon is None:
-        horizon = samples.horizon
-    return survival_from_events(t_end, hit, horizon, grid)
 
 
 def censored_mean(t_end) -> float:

@@ -25,7 +25,7 @@ arithmetic is exact (dyadic states).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

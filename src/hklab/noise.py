@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prng import bits_at, run_keys, uniforms_at
+from .prng import bits_at, uniforms_at
 
 FAMILIES = ("uniform_ball", "uniform_cube", "rademacher_axes")
 
@@ -226,34 +226,18 @@ def noise_block(spec: NoiseSpec, keys, ts, n: int, d: int) -> np.ndarray:
     """Noise for runs x steps x agents: shape (A, B, n, d).
 
     keys is the (A,) array of run keys and ts the (B,) consecutive step
-    indices.  Row i of each (n, d) block is exactly
-    sample_noise(spec, base_seed, run_index, t, i, n, d) for the run
-    whose key it is.
+    indices, from t = 1: step 0 holds the initial conditions.  Row i of
+    each (n, d) block is agent i's draw, a pure function of its run's
+    key, t and i, whichever runs and steps share the block.
     """
     w = uniforms_per_draw(spec.family, d)
     keys = np.asarray(keys, dtype=np.uint64)
     ts = np.asarray(ts)
+    if ts.size and ts[0] < 1:
+        raise ValueError("noise steps are indexed from t = 1")
     u = _stream_units(spec, keys, ts, n * w)
     u = u.reshape(keys.shape[0], ts.shape[0], n, w)
     return _uniforms_to_noise(spec, u, d)
-
-
-def sample_noise(
-    spec: NoiseSpec, base_seed: int, run_index: int, t: int, i: int, n: int, d: int
-) -> np.ndarray:
-    """Single draw for agent i at step t of run run_index, shape (d,).
-
-    Regenerates the step's stream units and reads agent i's slice, so
-    the result does not depend on which draws were produced before it
-    or on how the surrounding ensemble was batched.
-    """
-    if t < 1:
-        raise ValueError("noise steps are indexed from t = 1")
-    if not 0 <= i < n:
-        raise ValueError("agent index out of range")
-    w = uniforms_per_draw(spec.family, d)
-    u = _stream_units(spec, run_keys(base_seed, [run_index]), [t], n * w)
-    return _uniforms_to_noise(spec, u[:, :, i * w : (i + 1) * w], d)[0, 0]
 
 
 def validate_noise_spec(

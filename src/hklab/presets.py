@@ -6,7 +6,7 @@ qualitative behavior (integrable vs heavy-tailed vs defective stopping
 laws, walk recurrence vs transience) is visible above sampling noise.
 
 Two presets come in dimension variants sharing one name: use
-``preset(name, variant)`` or ``preset_family(name)`` to get them all.
+``preset(name, variant)``, with the keys from ``preset_variants(name)``.
 Cluster starts keep the separation above sqrt(2)*epsilon + 2*delta, so
 the groups begin genuinely disconnected and stay internally coherent
 (member spread never exceeds 2*delta <= epsilon).
@@ -203,11 +203,6 @@ def preset(name: str, variant: str | None = None) -> ExperimentConfig:
             f"unknown variant {variant!r} for preset {name}; options are {tuple(variants)}"
         )
     return variants[variant]()
-
-
-def preset_family(name: str) -> tuple[ExperimentConfig, ...]:
-    """All variants of a preset (one element for single-shape presets)."""
-    return tuple(preset(name, v) for v in preset_variants(name))
 
 
 def scaled_preset(cfg: ExperimentConfig, runs: int | None = None, horizon: int | None = None):

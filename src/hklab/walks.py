@@ -27,10 +27,9 @@ math, and the loop owns the keys, the chunking, the compaction of
 stopped runs and the bookkeeping.
 Its chunks double from one step, so a run stopping at step T has noise
 drawn through step 2T - 1 at most.  Loops over a fixed set of runs
-(recurrence profiles, gap paths and endpoints, projected trajectories)
-take full-budget chunks from _noise_chunks.  Walks carry their sum
-across chunks (_walk_from), so no sample depends on chunk lengths or
-on which runs share a call.
+(recurrence profiles, projected trajectories) take full-budget chunks
+from _noise_chunks.  Walks carry their sum across chunks (_walk_from),
+so no sample depends on chunk lengths or on which runs share a call.
 """
 
 from __future__ import annotations
@@ -579,45 +578,3 @@ def cluster_gap_walk(
         run_indices,
         horizon,
     )
-
-
-def cluster_gap_path(
-    spec: ClusterWalkSpec,
-    base_seed: int,
-    run_index: int,
-    horizon: int,
-):
-    """(y, Z) for one run: y has shape (horizon, dim), Z has Z[0] = 0."""
-    _require_valid(spec)
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
-    keys = run_keys(base_seed, np.asarray([run_index], dtype=np.int64))
-    n = spec.n1 + spec.n2
-    y = np.zeros((horizon, spec.dim), dtype=np.float64)
-    for t0, xi in _noise_chunks(spec.noise, keys, 0, horizon, n, spec.dim):
-        y[t0 : t0 + xi.shape[1]] = _cluster_y(xi, spec.n1)[0]
-        # Freed before the next chunk is drawn.
-        del xi
-    z = np.vstack([np.zeros((1, spec.dim)), np.cumsum(y, axis=0)])
-    return y, z
-
-
-def cluster_gap_endpoints(
-    spec: ClusterWalkSpec,
-    t: int,
-    base_seed: int,
-    run_indices,
-) -> np.ndarray:
-    """Z(t) across runs, shape (runs, dim); for distribution checks."""
-    _require_valid(spec)
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    run_indices = np.asarray(run_indices, dtype=np.int64)
-    keys = run_keys(base_seed, run_indices)
-    n = spec.n1 + spec.n2
-    z = np.zeros((run_indices.shape[0], spec.dim), dtype=np.float64)
-    for _, xi in _noise_chunks(spec.noise, keys, 0, t, n, spec.dim):
-        # A copy, so this chunk's draws are freed before the next are drawn.
-        z = _walk_from(z, _cluster_y(xi, spec.n1))[:, -1].copy()
-        del xi
-    return z

@@ -17,7 +17,6 @@ from hklab.config import (
     dump_config,
     load_config,
     loads_config,
-    with_workers,
 )
 from hklab.engine import run_batch
 from hklab.model import InitialCondition, ModelConfig
@@ -157,12 +156,6 @@ def test_yaml_parse_error_kind():
 def test_non_mapping_rejected():
     with pytest.raises(ConfigError):
         loads_config("- just\n- a list\n")
-
-
-def test_with_workers():
-    cfg = config_from_dict(MINIMAL_HK)
-    assert with_workers(cfg, 6).ensemble.workers == 6
-    assert cfg.ensemble.workers == 1  # original untouched
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +410,17 @@ def test_cli_env_workers(tmp_path, monkeypatch, capsys):
     assert "HKLAB_WORKERS" in capsys.readouterr().err
     monkeypatch.setenv("HKLAB_WORKERS", "2")
     assert main(["run", path, "--out", str(out)]) == EXIT_OK
+
+
+def test_cli_workers_flag_must_be_positive(tmp_path, capsys):
+    # As for ensemble.workers and HKLAB_WORKERS, a count below 1 is refused.
+    path = _write_cfg(tmp_path, _tiny_run_cfg())
+    for bad in ("0", "-3", "two"):
+        with pytest.raises(SystemExit) as exit_:
+            main(["run", path, "--out", str(tmp_path / "out"), "--workers", bad])
+        assert exit_.value.code == EXIT_PARSE
+        assert "--workers" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_run_walk_and_projected(tmp_path):

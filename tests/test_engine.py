@@ -14,13 +14,7 @@ import pytest
 import hklab.engine as engine
 import hklab.ensemble as ensemble
 from hklab import walks
-from hklab.engine import (
-    BatchResult,
-    check_absorbing,
-    cluster_gap,
-    run_batch,
-    run_trajectory,
-)
+from hklab.engine import BatchResult, run_batch
 from hklab.ensemble import run_ensemble
 from hklab.model import InitialCondition, ModelConfig, hk_step, max_pairwise_distance
 from hklab.noise import NoiseSpec, noise_block
@@ -238,7 +232,8 @@ def test_indexed_trajectory_replays_lockstep_snapshots(monkeypatch):
     kw = dict(extra_after_hit=5, snapshot_stride=1)
 
     def trajectories():
-        return [run_trajectory(cfg, h, base_seed=b, run_index=r, **kw) for b, r, h in cases]
+        runs = [run_batch(cfg, b, [r], h, **kw) for b, r, h in cases]
+        return [(res.samples[0], res.record) for res in runs]
 
     lockstep = trajectories()
     monkeypatch.setattr(engine, "_LOCKSTEP_MAX_N", 1)
@@ -290,7 +285,7 @@ def test_hk_step_replays_lockstep_snapshots_bitwise(monkeypatch):
         if extra:
             assert bool(res.absorb_ok[0]) == (cfg is not loose)
         steps = sample.t_end + extra
-        np.testing.assert_array_equal(rec.snapshot_times, np.arange(steps + 1))
+        np.testing.assert_array_equal(rec.times, np.arange(steps + 1))
         keys = run_keys(17, [run_index])
         xi = noise_block(cfg.noise, keys, np.arange(1, steps + 1), cfg.n, cfg.d)[0]
         x = cfg.initial.build(cfg.n, cfg.d, cfg.epsilon)
@@ -352,7 +347,8 @@ def test_audit_segments_match_dense_steps_and_solo_runs(monkeypatch):
     # equals its solo runs and the dense loop (segments off) bit for bit,
     # in samples and in absorb_ok.  The loose config (delta > epsilon/2,
     # but near enough that its batch synchronizes as a whole) leaves
-    # synchronization inside segments.  The micro config (AC-1's shape:
+    # synchronization inside segments; its solo runs' states at every
+    # step equal the dense loop's too.  The micro config (AC-1's shape:
     # two agents in d = 1 with sign noise) takes one-step segments, as
     # a batch too wide for longer ones does; its solo runs (d * A = 1)
     # take none.
@@ -378,15 +374,27 @@ def test_audit_segments_match_dense_steps_and_solo_runs(monkeypatch):
         assert len(calls) > 3 and (max(steps for steps, _ in calls) > 1) == (cfg is not micro)
         assert any(truncated for _, truncated in calls) == (cfg is loose)
         assert (cfg is loose) == (not batch.absorb_ok.all())
-        for i in range(8):
-            solo = run_batch(cfg, 7, [i], 600, extra_after_hit=200)
+        # The loose config's solo runs record every step's state.
+        stride = int(cfg is loose)
+
+        def solo_runs():
+            return [run_batch(cfg, 7, [i], 600, 200, snapshot_stride=stride) for i in range(8)]
+
+        solos = solo_runs()
+        for i, solo in enumerate(solos):
             assert _sample_tuple(solo.samples[0]) == _sample_tuple(batch.samples[i])
             assert solo.absorb_ok[0] == batch.absorb_ok[i]
         with monkeypatch.context() as m:
             m.setattr(engine._Lockstep, "segment_steps", lambda self, states: 0)
             dense = run_batch(cfg, 7, np.arange(8), 600, extra_after_hit=200)
+            dense_solos = solo_runs() if stride else []
         assert list(map(_sample_tuple, dense.samples)) == list(map(_sample_tuple, batch.samples))
         np.testing.assert_array_equal(dense.absorb_ok, batch.absorb_ok)
+        # Samples and absorb_ok cannot show a segment kept past a leave, or
+        # a stale distance buffer after one; every state of a solo run can.
+        for solo, ref in zip(solos, dense_solos):
+            np.testing.assert_array_equal(solo.record.times, ref.record.times)
+            np.testing.assert_array_equal(solo.record.snapshots, ref.record.snapshots)
 
 
 def test_audit_tail_segments_stay_within_the_noise_budget(monkeypatch):
@@ -444,30 +452,6 @@ def test_absorb_ok_none_without_extension():
     assert res.absorb_ok is None
 
 
-def test_check_absorbing_roundtrip():
-    cfg = _bounded_cfg()
-    s = run_batch(cfg, 21, [4], 20_000).samples[0]
-    assert s.hit
-    assert check_absorbing(cfg, 21, 4, s.t_hit, extra_steps=200)
-    with pytest.raises(ValueError, match="not at claimed"):
-        check_absorbing(cfg, 21, 4, s.t_hit + 1, extra_steps=10)
-
-
-def test_check_absorbing_refuses_large_delta():
-    cfg = ModelConfig(
-        n=2,
-        d=1,
-        epsilon=0.25,
-        space_mode="bounded",
-        noise=NoiseSpec("uniform_ball", 0.2),
-        initial=InitialCondition("uniform_box", seed=0),
-        allow_large_delta=True,
-    )
-    bad = ModelConfig(**{**cfg.__dict__, "allow_large_delta": False})
-    with pytest.raises(ValueError, match="delta > epsilon/2"):
-        check_absorbing(bad, 0, 0, 1)
-
-
 def test_magnitude_guard_trips(monkeypatch):
     monkeypatch.setattr(engine, "MAGNITUDE_GUARD", 1.0)
     cfg = ModelConfig(
@@ -500,9 +484,8 @@ def test_magnitude_guard_trips_indexed_path(monkeypatch):
 def test_trajectory_recorder_strides():
     cfg = _dyadic_cfg()
     run_index = _first_run(cfg, 801, 100, lambda s, ok: not s.hit).run_index
-    sample, rec = run_trajectory(
-        cfg, horizon=100, base_seed=801, run_index=run_index, snapshot_stride=7
-    )
+    res = run_batch(cfg, 801, [run_index], 100, snapshot_stride=7)
+    sample, rec = res.samples[0], res.record
     assert not sample.hit
     assert rec.times[0] == 0 and rec.times[-1] == 100
     interior = rec.times[:-1]
@@ -522,8 +505,11 @@ def test_trajectory_snapshots_and_gap():
         noise=NoiseSpec("uniform_cube", 0.25, requires_symmetry=True),
         initial=InitialCondition("two_cluster", separation_eps=6.0, sizes=(2, 2)),
     )
-    sample, rec = run_trajectory(cfg, horizon=50, base_seed=1, snapshot_stride=25)
-    gap = np.array([cluster_gap(x, 2) for x in rec.snapshots])
+    res = run_batch(cfg, 1, [0], 50, snapshot_stride=25)
+    sample, rec = res.samples[0], res.record
+    # The distance between the two groups' centroids.
+    x = rec.snapshots
+    gap = np.linalg.norm(x[:, :2].mean(axis=1) - x[:, 2:].mean(axis=1), axis=1)
     assert gap.shape == rec.times.shape
     assert gap[0] == pytest.approx(6.0 * 0.5)
     assert rec.snapshots.shape[1:] == (4, 2)
@@ -535,15 +521,6 @@ def test_trajectory_snapshots_and_gap():
 def test_recording_strides_need_one_run():
     with pytest.raises(ValueError, match="got 3 runs"):
         run_batch(_dyadic_cfg(), 0, np.arange(3), 10, snapshot_stride=5)
-
-
-def test_cluster_gap_geometry_and_validation():
-    states = np.array([[1.0, 0.0], [3.0, 0.0], [0.0, 4.0]])
-    assert cluster_gap(states, 2) == pytest.approx(np.sqrt(4.0 + 16.0))
-    with pytest.raises(ValueError, match="empty side"):
-        cluster_gap(states, 0)
-    with pytest.raises(ValueError, match="empty side"):
-        cluster_gap(states, 3)
 
 
 def test_empty_batch_and_bad_horizon():

@@ -21,7 +21,6 @@ from hklab.ensemble import (
     run_ensemble,
     summarize,
     survival_from_events,
-    survival_from_samples,
     survival_grid,
 )
 from hklab.model import InitialCondition, ModelConfig
@@ -67,7 +66,7 @@ def test_survival_grid_shape():
 
 def test_survival_estimator_counts():
     samples = _samples([3, 3, 50, None], 100)
-    curve = survival_from_samples(samples)
+    curve = survival_from_events(*events_from_samples(samples), 100)
     assert curve.values[curve.times == 0][0] == 1.0
     # S(3) counts runs with min(T, horizon) >= 3: all four.
     assert curve.values[curve.times == 3][0] == 1.0
@@ -90,7 +89,7 @@ def test_events_reclassify_at_smaller_horizon():
     with pytest.raises(ValueError, match="negative"):
         events_from_samples(samples, -5)
     # Horizon 0 is a horizon, not a missing one: every run is censored at 0.
-    curve = survival_from_samples(samples, 0)
+    curve = survival_from_events(*events_from_samples(samples, 0), 0)
     assert curve.horizon == 0 and curve.censored == 3
     np.testing.assert_array_equal(curve.times, [0])
     np.testing.assert_array_equal(curve.values, [1.0])
@@ -101,7 +100,6 @@ def test_empty_sample_list_rejected():
     for call in (
         lambda: events_from_samples(empty),
         lambda: events_from_samples(empty, 10),
-        lambda: survival_from_samples(empty),
         lambda: summarize(empty, 10, 0),
         lambda: censored_mean_growth(empty, [5, 10]),
     ):

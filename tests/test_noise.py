@@ -20,7 +20,6 @@ from hklab.noise import (
     FAMILIES,
     NoiseSpec,
     noise_block,
-    sample_noise,
     uniforms_per_draw,
     validate_noise_spec,
 )
@@ -235,45 +234,51 @@ def test_noise_block_golden(family, d):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_single_draw_matches_block(family):
-    # sample_noise must reproduce exactly the row that noise_block places
-    # at (run, step, agent), independent of batching.  The block holds
-    # more draws than one block of the ball transform, so a one-draw
-    # slice and a multi-block array must agree.
+    # Transforming one agent's slice of a step's stream units must
+    # reproduce exactly the row that noise_block places at (run, step,
+    # agent), independent of batching.  The block holds more draws than
+    # one block of the ball transform, so a one-draw slice and a
+    # multi-block array must agree.
     spec = NoiseSpec(family, 0.25)
     n = 4
     runs, steps = 3, 1 + noise._BALL_BLOCK // (3 * n)
     keys = run_keys(17, np.arange(runs))
     for d in (1, 2, 3, 5):
+        w = uniforms_per_draw(family, d)
         block = noise_block(spec, keys, np.arange(1, steps + 1), n, d)
         assert block.shape == (runs, steps, n, d) and block.flags.c_contiguous
         for run in (0, 2):
             for t in (1, steps // 2, steps):
+                units = noise._stream_units(spec, keys[run : run + 1], [t], n * w)[0, 0]
                 for i in (0, 3):
-                    got = sample_noise(spec, 17, run, t, i, n, d)
+                    got = noise._uniforms_to_noise(spec, units[i * w : (i + 1) * w].copy(), d)
                     np.testing.assert_array_equal(got, block[run, t - 1, i])
 
 
 def test_single_draw_deterministic():
     spec = NoiseSpec("uniform_ball", 0.25)
-    a = sample_noise(spec, 5, 9, 3, 1, 4, 2)
-    b = sample_noise(spec, 5, 9, 3, 1, 4, 2)
+    a = noise_block(spec, run_keys(5, [9]), [3], 4, 2)[0, 0, 1]
+    b = noise_block(spec, run_keys(5, [9]), [3], 4, 2)[0, 0, 1]
     np.testing.assert_array_equal(a, b)
 
 
 def test_draws_differ_across_agents_steps_runs():
     spec = NoiseSpec("uniform_cube", 0.25)
-    base = sample_noise(spec, 5, 0, 1, 0, 4, 2)
-    assert not np.array_equal(base, sample_noise(spec, 5, 0, 1, 1, 4, 2))
-    assert not np.array_equal(base, sample_noise(spec, 5, 0, 2, 0, 4, 2))
-    assert not np.array_equal(base, sample_noise(spec, 5, 1, 1, 0, 4, 2))
+    # Rows [run, step - 1, agent] of runs 0, 1 and steps 1, 2.
+    block = noise_block(spec, run_keys(5, [0, 1]), [1, 2], 4, 2)
+    base = block[0, 0, 0]
+    assert not np.array_equal(base, block[0, 0, 1])
+    assert not np.array_equal(base, block[0, 1, 0])
+    assert not np.array_equal(base, block[1, 0, 0])
 
 
 def test_sample_noise_rejects_bad_indices():
+    # Step 0 holds the initial conditions; no noise is drawn for it.
     spec = NoiseSpec("uniform_cube", 0.25)
+    keys = run_keys(0, [0])
     with pytest.raises(ValueError, match="indexed from t = 1"):
-        sample_noise(spec, 0, 0, 0, 0, 4, 2)
-    with pytest.raises(ValueError, match="agent index"):
-        sample_noise(spec, 0, 0, 1, 4, 4, 2)
+        noise_block(spec, keys, [0, 1], 4, 2)
+    assert noise_block(spec, keys, [], 4, 2).shape == (1, 0, 4, 2)
 
 
 def test_validate_accepts_builtin_symmetric_families():
@@ -420,7 +425,7 @@ def test_box_muller_norm_bound_exact_near_one(d):
 def test_sign_draws_invariant_to_step_chunks(n, d):
     # With n * d = 3 or 5 sign bits per step, steps straddle the stream's
     # 64-bit words; chunks of any length and start give the same draws as
-    # one block, and sample_noise gives the matching row.
+    # one block, and so does a block of one run and one step.
     spec = NoiseSpec("rademacher_axes", 0.5)
     keys = run_keys(12, np.arange(5))
     ts = np.arange(1, 150)
@@ -429,7 +434,8 @@ def test_sign_draws_invariant_to_step_chunks(n, d):
         parts = [noise_block(spec, keys, ts[lo:hi], n, d) for lo, hi in zip(cuts, cuts[1:])]
         np.testing.assert_array_equal(np.concatenate(parts, axis=1), whole)
     for run, t, i in ((0, 1, 0), (4, 21, n - 1), (2, 149, n // 2)):
-        np.testing.assert_array_equal(sample_noise(spec, 12, run, t, i, n, d), whole[run, t - 1, i])
+        single = noise_block(spec, keys[run : run + 1], [t], n, d)[0, 0, i]
+        np.testing.assert_array_equal(single, whole[run, t - 1, i])
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -16,8 +16,6 @@ from hklab.walks import (
     ClusterWalkSpec,
     StretchedWalkSpec,
     WalkSpec,
-    cluster_gap_endpoints,
-    cluster_gap_path,
     cluster_gap_walk,
     first_passage_below,
     recurrence_profile,
@@ -132,26 +130,21 @@ def test_recurrence_horizon_zero_counts_start():
 
 
 def test_cluster_gap_path_shapes_and_bound():
+    # The gap steps y(t) of one run's first 50 steps.
     spec = ClusterWalkSpec(n1=2, n2=3, noise=NoiseSpec("uniform_ball", 0.25), dim=2)
-    y, z = cluster_gap_path(spec, base_seed=3, run_index=0, horizon=50)
-    assert y.shape == (50, 2) and z.shape == (51, 2)
-    np.testing.assert_array_equal(z[0], [0.0, 0.0])
-    np.testing.assert_allclose(z[1:], np.cumsum(y, axis=0))
+    xi = noise_block(spec.noise, run_keys(3, [0]), np.arange(1, 51), 5, 2)
+    y = walks._cluster_y(xi, spec.n1)[0]
+    assert y.shape == (50, 2)
     # Each group mean has norm <= delta, so the difference stays <= 2*delta.
     norms = np.sqrt(np.sum(y * y, axis=1))
     assert np.all(norms <= 0.5)
 
 
-def test_cluster_gap_endpoints_match_path():
-    spec = ClusterWalkSpec(n1=2, n2=2, noise=SIMPLE_STEP, dim=1)
-    _, z = cluster_gap_path(spec, base_seed=5, run_index=3, horizon=40)
-    z40 = cluster_gap_endpoints(spec, 40, base_seed=5, run_indices=[3])
-    np.testing.assert_array_equal(z40[0], z[-1])
-
-
 def test_cluster_gap_endpoints_symmetric():
+    # Z(400) of 2000 runs: the sum of each run's first 400 gap steps.
     spec = ClusterWalkSpec(n1=2, n2=2, noise=NoiseSpec("uniform_cube", 0.25), dim=1)
-    z = cluster_gap_endpoints(spec, 400, base_seed=6, run_indices=np.arange(2000))[:, 0]
+    xi = noise_block(spec.noise, run_keys(6, np.arange(2000)), np.arange(1, 401), 4, 1)
+    z = walks._cluster_y(xi, spec.n1).sum(axis=1)[:, 0]
     # Z(t) is a sum of symmetric terms: mean 0, balanced signs.
     sd = z.std() / np.sqrt(z.size)
     assert abs(z.mean()) < 4 * sd
@@ -263,11 +256,9 @@ _TRAJECTORY_SPEC = ProjectedSystemSpec(
             ),
             0,
         ),
-        (lambda: cluster_gap_path(ClusterWalkSpec(8, 8, _BALL, 1), 3, 0, 5_000), 5_000 * 8),
-        (lambda: cluster_gap_endpoints(ClusterWalkSpec(2, 2, _BALL, 3), 200, 3, np.arange(100)), 0),
         (lambda: trajectory(_TRAJECTORY_SPEC, 3, 0, 20_000), 20_001 * 3 * 8),
     ],
-    ids=["cluster_gap_walk", "cluster_gap_path", "cluster_gap_endpoints", "trajectory"],
+    ids=["cluster_gap_walk", "trajectory"],
 )
 def test_chunk_loops_free_each_chunk_before_the_next(monkeypatch, call, preallocated):
     # Every chunked loop drops a chunk's draws before drawing the next, so
@@ -379,7 +370,6 @@ def test_oracles_invariant_to_chunk_boundaries(monkeypatch):
         for name, f in hitting.items()
     }
     calls["recurrence"] = recurrence
-    calls["endpoints"] = lambda runs: cluster_gap_endpoints(cube, 300, 6, runs).tolist()
 
     whole = {name: call(idx) for name, call in calls.items()}
     for name in hitting:
