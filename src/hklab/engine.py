@@ -13,9 +13,10 @@ sizes batches): noise, hit, deadline, audit and horizon bookkeeping,
 recorder, magnitude guard and compaction.  Only a step's two calls
 (neighbor means, d_V) and the steps per noise chunk differ with n, as
 two kernels: _Lockstep (n <= _LOCKSTEP_MAX_N) holds all live runs in one
-runs-last (n, d, A) tensor, with (n, n, A) buffers of n^2 A doubles, and
-adds neighbors in ascending agent order; _Indexed steps each run alone,
-one draw at a time, through a NeighborIndex built each step.  Every
+runs-last (n, d, A) tensor, with (n, n, A) buffers of n^2 A doubles;
+_Indexed steps each run alone, one draw at a time, through a
+NeighborIndex built each step.  Both add each agent's neighbors in
+ascending agent order, so they take the same steps bit for bit.  Every
 noise draw is a pure function of (base_seed, run_index, t, agent) and
 every per-run reduction has a fixed order, so a run's trajectory is
 bit-identical no matter which other runs share the batch.
@@ -208,11 +209,11 @@ class _Indexed:
     """Step kernel of n > _LOCKSTEP_MAX_N: each run alone, through an index.
 
     Each step builds one NeighborIndex (grid or brute, as "auto" picks)
-    per run over a contiguous copy of its states; its sums add by BLAS
-    matmul in cell order.  Noise is drawn one step at a time: a grid
-    step costs far more than its draw, and longer chunks would only hold
-    more noise in memory.  It keeps no per-run buffer, so compaction
-    has nothing to drop.
+    per run over a contiguous copy of its states; its sums are the
+    lockstep kernel's, on blocks of candidates.  Noise is drawn one
+    step at a time: a grid step costs far more than its draw, and longer
+    chunks would only hold more noise in memory.  It keeps no per-run
+    buffer, so compaction has nothing to drop.
     """
 
     chunk_steps = 1
@@ -247,8 +248,7 @@ class _Indexed:
 
     def mean(self, states: np.ndarray, out: np.ndarray) -> np.ndarray:
         # NeighborIndex is read from this module at call time, so it can
-        # be rebound from outside (hkbench/tracing.py does).  Its sums add
-        # in cell order, synchronized run or not.
+        # be rebound from outside (hkbench/tracing.py does).
         for k in range(states.shape[2]):
             x = np.ascontiguousarray(states[:, :, k])
             sums, deg = NeighborIndex(x, self.epsilon).neighbor_sums()

@@ -13,14 +13,12 @@ reach the same threshold decisions, and all paths reach bit-identical
 accept/reject decisions.
 
 The lockstep kernel (pairwise_sq_dists on runs-last views, then
-runs_last_sums) serves the engine's lockstep batches, hk_step (one run)
-and the projected hk_mean map.  It holds runs on the last axis,
-(n, d, A), and adds each agent's neighbor rows in ascending agent
-order, whatever BLAS numpy is linked against, so a run's sums do not
-depend on how many runs share the batch.  The engine's indexed kernel
-(neighbors.NeighborIndex, n > 128) sums by BLAS matmul in cell order
-instead; it agrees with the lockstep kernel bitwise only where the
-arithmetic is exact (dyadic states).
+runs_last_sums) serves the engine's lockstep batches, hk_step (one run),
+the projected hk_mean map and, with blocks of agents in place of runs,
+neighbors.NeighborIndex.  It holds runs on the last axis, (n, d, A),
+and adds each agent's neighbor rows in ascending agent order, whatever
+BLAS numpy is linked against, so a run's sums do not depend on how
+many runs share the batch or on which path steps it.
 """
 
 from __future__ import annotations
@@ -67,10 +65,10 @@ def pairwise_sq_dists(
 
     ``tmp`` is a scratch buffer of the result's shape for d >= 2.  A
     given buffer is filled with x[i] across j and y[j] subtracted in
-    place: on the lockstep batch's cache-sized runs-last buffers numpy
-    runs that pair faster than one broadcasting subtraction, and the
-    grid's blocks reuse one pair of buffers instead of allocating a
-    fresh result per block.  Without a buffer the subtraction allocates it.
+    place: on the cache-sized runs-last buffers of the lockstep batch
+    and of the neighbor index's chunks numpy runs that pair faster than
+    one broadcasting subtraction.  Without a buffer the subtraction
+    allocates it.
     """
     xs = x[..., :, None, :]
     ys = (x if y is None else y)[..., None, :, :]
@@ -91,26 +89,26 @@ def pairwise_sq_dists(
 
 
 def runs_last_sums(x: np.ndarray, d2: np.ndarray, epsilon: float, out=None, prod=None, deg=None):
-    """Neighbor sums (n, d, A) and counts (n, A) of runs-last states.
+    """Neighbor sums (K, d, A) and counts (K, A) of runs-last states.
 
-    d2 (n, n, A) holds the squared distances of x (n, d, A), from
-    pairwise_sq_dists on the (A, n, d) and (A, n, n) views, and is
-    overwritten by the 0/1 adjacency d2 <= epsilon^2.  That relation
-    is exactly symmetric, so sums[i, c, a] is the reduce over the
-    outermost axis j of adj[j, i, a] * x[j, c, a].  numpy reduces an
-    outer axis one slice at a time, which adds the terms in ascending
-    j for every A, A = 1 included; a reduce over a contiguous axis
-    would switch to pairwise summation from length 8 on.  Counts are
-    exact.  ``prod`` is one (n, n, A) buffer reused for each
-    coordinate, filled with x[j] across i and multiplied in place; a
-    step's neighbor mean is sums / deg[:, None].
+    d2 (C, K, A) holds the squared distances between x's C rows (C, d,
+    A) and K agents, from pairwise_sq_dists, and is overwritten by the
+    0/1 adjacency d2 <= epsilon^2.  sums[i, c, a] is the reduce over
+    the outermost axis j of adj[j, i, a] * x[j, c, a].  numpy reduces
+    an outer axis one slice at a time, which adds the terms in
+    ascending j when K A > 1; over a lone contiguous axis it would add
+    pairwise from length 8 on.  A non-neighbor adds an exact zero, so
+    rows that hold agent i's neighbors in ascending order give the sum
+    over all n.  Counts are exact.  ``prod``, one C-contiguous (C, K,
+    A) buffer, is reused for each coordinate, filled with x[j] across
+    i and multiplied in place; a step's mean is sums / deg[:, None].
     """
     adj = np.less_equal(d2, epsilon * epsilon, out=d2)
     deg = np.add.reduce(adj, axis=0, out=deg)
     if out is None:
-        out = np.empty(x.shape)
+        out = np.empty((adj.shape[1],) + x.shape[1:])
     if prod is None:
-        prod = np.empty_like(adj)
+        prod = np.empty(adj.shape)
     for c in range(x.shape[1]):
         np.copyto(prod, x[:, None, c])
         prod *= adj

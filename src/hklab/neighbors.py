@@ -1,17 +1,16 @@
 """Fixed-radius neighbor queries: brute-force scan and uniform grid.
 
-The grid sorts the agents by cell (side exactly epsilon, cell =
-floor(coordinate / epsilon)) and cuts each pencil, the agents sharing
-all but the last cell coordinate, into blocks of at most _BLOCK agents.
-A block's candidates, the agents of the 3^(d-1) pencils around its own
-within one cell of it on the last axis, are contiguous slices found by
-searching the cells as lexicographic byte keys, which cannot overflow.
-Both modes take distances from model.pairwise_sq_dists, so they return
-bit-equal neighbor sets, and sum by one BLAS matmul of the 0/1
-adjacency with the candidate rows (grid: per block, in cell order).
-BLAS picks its own addition order (gemv and gemm differ), so the sums
-agree with the lockstep kernel's ascending-order sums
-(model.runs_last_sums) bit for bit only on dyadic states.
+Both modes cut the agents into blocks of at most _BLOCK, each with
+candidates that include every neighbor of its agents.  The grid sorts
+the agents by cell (side exactly epsilon, cell = floor(coordinate /
+epsilon)) and cuts each pencil, the agents sharing all but the last cell
+coordinate, into blocks, whose candidates, the agents of the 3^(d-1)
+pencils around its own within one cell of it on the last axis, are
+contiguous slices found by searching the cells as lexicographic byte
+keys, which cannot overflow.  Brute force cuts blocks in index order,
+with every agent as candidate.  Sums run the lockstep kernel
+(model.runs_last_sums) with blocks as its batch axis, so both modes
+return its neighbor sets and sums bit for bit, on any states.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import itertools
 
 import numpy as np
 
-from .model import pairwise_sq_dists, sq_norm_last
+from .model import pairwise_sq_dists, runs_last_sums, sq_norm_last
 
 MODES = ("brute", "grid", "auto")
 
@@ -30,23 +29,20 @@ _BRUTE_BLOCK_ELEMS = 4_000_000
 # Refuse explicit grid mode when the stencil itself is astronomically big.
 _MAX_STENCIL = 1 << 20
 
-# Cell-sorted agents per grid block (32-64 measured best at n = 10^4).
-_BLOCK = 48
+# Agents per block; a grid block then spans about one cell of its pencil.
+_BLOCK = 8
+
+# Distance entries per chunk of blocks: its buffers stay in cache.
+_CHUNK_ELEMS = 1 << 15
+
+# Row n, the padding of blocks and candidate lists: never within epsilon
+# of an agent under the engine's 1e12 magnitude guard, and overflows nothing.
+_PAD = 1e150
 
 
 def _rows(cells: np.ndarray) -> np.ndarray:
     """Byte keys of int64 rows that order lexicographically (sign flipped, big-endian)."""
     return (cells ^ np.int64(-(2**63))).astype(">i8").view(f"S{8 * cells.shape[-1]}")[..., 0]
-
-
-def _matmul_sums(x, y, epsilon, out, deg, bufs=None):
-    """Neighbor sums (p, d) into out and counts (p,) into deg of x's p rows among
-    y's q rows: 0/1 adjacency matmul y.  bufs (2, >= p q) can hold the distances."""
-    d2, tmp = (None, None) if bufs is None else bufs[:, : len(x) * len(y)].reshape(2, len(x), -1)
-    adj = pairwise_sq_dists(x, y, out=d2, tmp=tmp)
-    np.less_equal(adj, epsilon * epsilon, out=adj)
-    np.matmul(adj, y, out=out)
-    adj.sum(axis=-1, out=deg)
 
 
 def resolve_mode(mode: str, n: int, d: int) -> str:
@@ -105,16 +101,25 @@ class NeighborIndex:
         if self.mode == "grid":
             if 3**self.d > _MAX_STENCIL:
                 raise ValueError(f"grid stencil 3^{self.d} is unusably large; use brute")
-            self._build_grid()
+            order, first = self._build_grid()
+        else:
+            # Blocks in index order, each with every agent as a candidate.
+            order = self._cand = np.arange(self.n)
+            first = order[::_BLOCK]
+            self._starts, self._counts = np.zeros_like(first), np.full_like(first, self.n)
+        # Block b's agents, order[first[b]:first[b + 1]], as a row padded with n.
+        pos, stop = first[:, None] + np.arange(_BLOCK), np.append(first, self.n)[1:, None]
+        self._agents = np.where(pos < stop, order[np.minimum(pos, self.n - 1)], self.n)
+        self._block = np.empty(self.n + 1, dtype=np.intp)
+        self._block[self._agents] = np.arange(first.size)[:, None]
 
-    def _build_grid(self) -> None:
+    def _build_grid(self):
         cells = np.floor(self.states / self.epsilon)
         if not np.all(np.abs(cells) < 2.0**62):
             raise ValueError("grid cells outside +-2^62 (states / epsilon too large); use brute")
         # lexsort is stable, so each cell's agents stay in ascending order.
-        self._order = np.lexsort(cells.T[::-1])
-        self._rank = np.argsort(self._order)
-        cells, at = cells[self._order].astype(np.int64), np.arange(self.n)
+        order = np.lexsort(cells.T[::-1])
+        cells, at = cells[order].astype(np.int64), np.arange(self.n)
         # Blocks start at each pencil's first agent and every _BLOCK after it.
         new = np.r_[True, np.any(cells[1:, :-1] != cells[:-1, :-1], axis=1)][: self.n]
         first = np.flatnonzero((at - np.maximum.accumulate(np.where(new, at, 0))) % _BLOCK == 0)
@@ -125,9 +130,10 @@ class NeighborIndex:
         starts = np.searchsorted(keys, _rows(lo + [(*o, -1) for o in near])).ravel()
         stops = np.searchsorted(keys, _rows(hi + [(*o, 1) for o in near]), "right").ravel()
         ends = np.cumsum(stops - starts)
-        self._cand = np.arange((stops - starts).sum()) - np.repeat(ends - stops, stops - starts)
-        self._first, bounds = first, np.append(0, ends[len(near) - 1 :: len(near)])
-        self._blocks = list(zip(*(v.tolist() for v in (first, stop, bounds[:-1], bounds[1:]))))
+        self._cand = order[np.arange(ends[-1]) - np.repeat(ends - stops, stops - starts)]
+        bounds = np.append(0, ends[len(near) - 1 :: len(near)])
+        self._starts, self._counts = bounds[:-1], np.diff(bounds)
+        return order, first
 
     def _check_fresh(self) -> None:
         if __debug__ and hash(self.states.tobytes()) != self._fingerprint:
@@ -136,36 +142,32 @@ class NeighborIndex:
     def query(self, i: int) -> np.ndarray:
         """Ascending indices j with ||x_j - x_i|| <= epsilon (includes i)."""
         self._check_fresh()
-        eps2 = self.epsilon * self.epsilon
-        row = self.states[i : i + 1]
-        if self.mode == "brute":
-            return np.flatnonzero(pairwise_sq_dists(row, self.states)[0] <= eps2)
-        _, _, lo, hi = self._blocks[np.searchsorted(self._first, self._rank[i], "right") - 1]
-        cand = self._order[self._cand[lo:hi]]
-        return np.sort(cand[pairwise_sq_dists(row, self.states[cand])[0] <= eps2])
+        b = self._block[i]
+        cand = self._cand[self._starts[b] : self._starts[b] + self._counts[b]]
+        d2 = pairwise_sq_dists(self.states[i : i + 1], self.states[cand])[0]
+        return np.sort(cand[d2 <= self.epsilon * self.epsilon])
 
     def neighbor_sums(self):
-        """Per-agent neighbor row sums and neighbor counts.
+        """Per-agent neighbor row sums (n, d) and neighbor counts (n,).
 
-        Returns (sums (n, d), deg (n,)).  Both modes sum by BLAS
-        matmul, brute over all agents and grid over cell candidates, so
-        sums may differ in final ulps between modes; membership never
-        does.
+        A chunk of blocks with similar candidate counts, padded to the
+        longest, is one runs_last_sums call over its (C, K, A) distances.
+        Chunks hold two blocks or more where there are two: K A > 1.
         """
         self._check_fresh()
-        x, eps = self.states, self.epsilon
-        sums = np.empty((self.n, self.d), dtype=np.float64)
-        deg = np.empty(self.n, dtype=np.float64)
-        if self.mode == "brute":
-            block = max(1, _BRUTE_BLOCK_ELEMS // max(1, self.n))
-            for a in range(0, self.n, block):
-                b = min(self.n, a + block)
-                _matmul_sums(x[a:b], x, eps, sums[a:b], deg[a:b])
-            return sums, deg
-        # Planar (d, n) sorted coordinates; rows fill in cell order, then unsort.
-        xt = np.take(x.T, self._order, axis=1)
-        cand = xt[:, self._cand]
-        bufs = np.empty((2, max([(b - a) * (hi - lo) for a, b, lo, hi in self._blocks], default=0)))
-        for a, b, lo, hi in self._blocks:
-            _matmul_sums(xt[:, a:b].T, cand[:, lo:hi].T, eps, sums[a:b], deg[a:b], bufs)
-        return sums[self._rank], deg[self._rank]
+        n, blocks, k = self.n, *self._agents.shape
+        xt = np.concatenate([self.states, np.full((1, self.d), _PAD)]).T.copy()
+        sums, deg = np.empty((n + 1, self.d)), np.empty(n + 1)
+        chunks = min(-(-k * int(self._counts.sum()) // _CHUNK_ELEMS), max(1, blocks // 2))
+        for chunk in np.array_split(np.argsort(self._counts), chunks):
+            agents, counts = self._agents[chunk], self._counts[chunk]
+            cols = np.arange(counts.max())
+            cand = self._cand.take(self._starts[chunk, None] + cols, mode="clip")
+            # In ascending agent order, the order in which the lockstep kernel adds.
+            cand = np.sort(np.where(cols < counts[:, None], cand, n), axis=1)
+            xc, xa = np.take(xt, cand.T, axis=1), np.take(xt, agents, axis=1).transpose(1, 2, 0)
+            d2, prod = np.empty((2, cols.size, k, chunk.size))
+            pairwise_sq_dists(xa, xc.T, d2.T, prod.T)
+            out, count = runs_last_sums(xc.transpose(1, 0, 2), d2, self.epsilon, prod=prod)
+            sums[agents.T], deg[agents.T] = out.transpose(0, 2, 1), count
+        return sums[:n], deg[:n]

@@ -1,7 +1,5 @@
 """Config parsing, presets, output files, and the command-line surface."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -15,7 +13,6 @@ from hklab.config import (
     config_from_dict,
     config_to_dict,
     dump_config,
-    load_config,
     loads_config,
 )
 from hklab.engine import run_batch

@@ -1,8 +1,9 @@
 """Batched stopping-time engine: determinism, batching invariance, audits.
 
-The dyadic configs below keep every float operation exact (all states
-are small dyadic rationals), so the lockstep batch path and the
-per-run indexed path must agree bit for bit over short horizons.
+The lockstep batch path and the per-run indexed path add each agent's
+neighbors in the same order, so they agree bit for bit on any states:
+on the dyadic configs below, which keep every float operation exact,
+and on the non-dyadic bounded ones.
 """
 
 import tracemalloc
@@ -17,6 +18,7 @@ from hklab import walks
 from hklab.engine import BatchResult, run_batch
 from hklab.ensemble import run_ensemble
 from hklab.model import InitialCondition, ModelConfig, hk_step, max_pairwise_distance
+from hklab.neighbors import resolve_mode
 from hklab.noise import NoiseSpec, noise_block
 from hklab.presets import preset
 from hklab.prng import run_keys
@@ -160,22 +162,25 @@ def test_horizon_extension_consistency():
 
 
 def test_indexed_path_matches_lockstep_bitwise(monkeypatch):
-    # Forcing the per-run indexed path on an exact dyadic config must
-    # reproduce the lockstep results including end distances.
-    cfg = _dyadic_cfg()
-    lockstep = run_batch(cfg, 9, np.arange(40), 15, extra_after_hit=5)
+    # Forcing the per-run indexed path reproduces the lockstep results,
+    # end distances and audits included: on the exact dyadic config and
+    # on non-dyadic bounded configs whose index takes grid mode (3^d < n)
+    # and brute mode (3^d >= n).
+    cases = [(_dyadic_cfg(), 9, 15), (_bounded_cfg(), 5, 30), (_bounded_cfg(n=8, d=2), 5, 95)]
+    assert [resolve_mode("auto", cfg.n, cfg.d) for cfg, _, _ in cases] == ["brute", "grid", "brute"]
+    lockstep = [run_batch(cfg, b, np.arange(40), h, extra_after_hit=5) for cfg, b, h in cases]
     monkeypatch.setattr(engine, "_LOCKSTEP_MAX_N", 1)
-    indexed = run_batch(cfg, 9, np.arange(40), 15, extra_after_hit=5)
-    assert [_sample_tuple(s) for s in indexed.samples] == [_sample_tuple(s) for s in lockstep.samples]
-    np.testing.assert_array_equal(indexed.absorb_ok, lockstep.absorb_ok)
+    for (cfg, b, h), lock in zip(cases, lockstep):
+        indexed = run_batch(cfg, b, np.arange(40), h, extra_after_hit=5)
+        assert [_sample_tuple(s) for s in indexed.samples] == [_sample_tuple(s) for s in lock.samples]
+        np.testing.assert_array_equal(indexed.absorb_ok, lock.absorb_ok)
 
 
 def test_indexed_batch_matches_solo_runs_bitwise(monkeypatch):
     # The indexed kernel steps each run of a batch on its own copy of its
-    # states, so on non-dyadic states, where the BLAS order of its sums
-    # shows, a batch still equals solo runs bit for bit: in grid mode
-    # (3^d < n) and brute mode (3^d >= n), with hits, audits past the
-    # horizon and censored runs.
+    # states, so on non-dyadic states a batch equals solo runs bit for
+    # bit: in grid mode (3^d < n) and brute mode (3^d >= n), with hits,
+    # audits past the horizon and censored runs.
     monkeypatch.setattr(engine, "_LOCKSTEP_MAX_N", 1)
     modes = []
 
@@ -222,23 +227,25 @@ def test_indexed_path_steps_each_run_to_its_deadline(monkeypatch):
 
 
 def test_indexed_trajectory_replays_lockstep_snapshots(monkeypatch):
-    # On a dyadic config the indexed kernel reproduces the lockstep
-    # snapshots bit for bit: at a hit, through the audit, and at a
-    # censored horizon.
-    cfg = _dyadic_cfg()
-    hit = _first_run(cfg, 9, 200, lambda s, ok: s.hit, extra_after_hit=5)
-    censored = _first_run(cfg, 801, 100, lambda s, ok: not s.hit, extra_after_hit=5)
-    cases = [(9, hit.run_index, 200), (801, censored.run_index, 100)]
+    # The indexed kernel reproduces the lockstep snapshots bit for bit:
+    # at a hit, through the audit, and at a censored horizon, on the
+    # exact dyadic config and on non-dyadic bounded configs in grid and
+    # brute mode.
     kw = dict(extra_after_hit=5, snapshot_stride=1)
+    cases = []
+    for cfg, horizon in ((_dyadic_cfg(), 100), (_bounded_cfg(), 30), (_bounded_cfg(n=8, d=2), 95)):
+        for base, hit in ((9, True), (801, False)):
+            found = _first_run(cfg, base, horizon, lambda s, ok: s.hit == hit, extra_after_hit=5)
+            cases.append((cfg, base, found.run_index, horizon))
 
     def trajectories():
-        runs = [run_batch(cfg, b, [r], h, **kw) for b, r, h in cases]
+        runs = [run_batch(cfg, b, [r], h, **kw) for cfg, b, r, h in cases]
         return [(res.samples[0], res.record) for res in runs]
 
     lockstep = trajectories()
     monkeypatch.setattr(engine, "_LOCKSTEP_MAX_N", 1)
     indexed = trajectories()
-    assert [s.hit for s, _ in lockstep] == [True, False]
+    assert [s.hit for s, _ in lockstep] == [True, False] * 3
     for (s_lock, rec_lock), (s_ind, rec_ind) in zip(lockstep, indexed):
         assert _sample_tuple(s_ind) == _sample_tuple(s_lock)
         np.testing.assert_array_equal(rec_ind.snapshots, rec_lock.snapshots)

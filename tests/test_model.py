@@ -151,6 +151,15 @@ def test_runs_last_sums_add_neighbors_in_ascending_order(a, n, d, seed, epsilon,
     sums, deg = runs_last_sums(x, d2.copy(), epsilon)
     np.testing.assert_array_equal(sums, ref)
     np.testing.assert_array_equal(deg, adj.sum(axis=0))
+    # A rectangular (C, K, A) block, as the neighbor index forms it: K
+    # agents over C ascending candidate rows that hold all their
+    # neighbors, with other rows between them, and K A > 1.
+    rng = np.random.default_rng(seed)
+    rows = rng.choice(n, int(rng.integers(2 if a == 1 else 1, n + 1)), replace=False)
+    cand = np.flatnonzero(adj[:, rows].any(axis=(1, 2)) | (rng.random(n) < 0.3))
+    part, part_deg = runs_last_sums(x[cand], d2[cand][:, rows], epsilon)
+    np.testing.assert_array_equal(part, sums[rows])
+    np.testing.assert_array_equal(part_deg, deg[rows])
 
 
 @given(finite_states)

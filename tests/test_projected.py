@@ -15,7 +15,6 @@ from hklab.projected import (
     declared_coefficient,
     hitting_time_td,
     project_to_ball,
-    projected_step,
     sampled_audit,
     trajectory,
     validate_projected_spec,

@@ -1,4 +1,4 @@
-"""Source hygiene of the hklab package, checked on its syntax trees."""
+"""Source hygiene of the hklab package and its tests, checked on their syntax trees."""
 
 import ast
 from pathlib import Path
@@ -6,6 +6,7 @@ from pathlib import Path
 import hklab
 
 PACKAGE = Path(hklab.__file__).parent
+TESTS = Path(__file__).parent
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -36,10 +37,10 @@ def test_unused_import_check_flags_only_unread_names():
 
 
 def test_package_has_no_unused_imports():
-    # __init__.py imports to re-export, so it is left out.
+    # The package's __init__.py imports to re-export, so it is left out.
+    paths = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
     unused = {
-        path.name: _unused_imports(path.read_text())
-        for path in sorted(PACKAGE.glob("*.py"))
-        if path.name != "__init__.py"
+        f"{path.parent.name}/{path.name}": _unused_imports(path.read_text())
+        for path in paths + sorted(TESTS.glob("*.py"))
     }
     assert {name: found for name, found in unused.items() if found} == {}
