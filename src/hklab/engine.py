@@ -37,13 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import walks
-from .model import (
-    BOX_HI,
-    BOX_LO,
-    ModelConfig,
-    pairwise_sq_dists,
-    runs_last_sums,
-)
+from .model import BOX_HI, BOX_LO, ModelConfig, pairwise_sq_dists, runs_last_sums
 from .neighbors import NeighborIndex, max_sq_dist
 from .noise import noise_block, uniforms_per_draw
 from .prng import run_keys

@@ -2,15 +2,16 @@
 
 Both modes cut the agents into blocks of at most _BLOCK, each with
 candidates that include every neighbor of its agents.  The grid sorts
-the agents by cell (side exactly epsilon, cell = floor(coordinate /
-epsilon)) and cuts each pencil, the agents sharing all but the last cell
-coordinate, into blocks, whose candidates, the agents of the 3^(d-1)
-pencils around its own within one cell of it on the last axis, are
-contiguous slices found by searching the cells as lexicographic byte
-keys, which cannot overflow.  Brute force cuts blocks in index order,
-with every agent as candidate.  Sums run the lockstep kernel
-(model.runs_last_sums) with blocks as its batch axis, so both modes
-return its neighbor sets and sums bit for bit, on any states.
+the agents by cell, floor(coordinate / side), its side a hair over
+epsilon so that rounding never puts neighbors two cells apart, and cuts
+each pencil, the agents sharing all but the last cell coordinate, into
+blocks, whose candidates, the agents of the 3^(d-1) pencils around its
+own within one cell of it on the last axis, are contiguous slices found
+by searching the cells as lexicographic byte keys, which cannot
+overflow.  Brute force cuts blocks in index order, with every agent as
+candidate.  Sums run the lockstep kernel (model.runs_last_sums) with
+blocks as its batch axis, so both modes return its neighbor sets and
+sums bit for bit, on any states.
 """
 
 from __future__ import annotations
@@ -114,9 +115,13 @@ class NeighborIndex:
         self._block[self._agents] = np.arange(first.size)[:, None]
 
     def _build_grid(self):
-        cells = np.floor(self.states / self.epsilon)
-        if not np.all(np.abs(cells) < 2.0**62):
+        top = np.abs(self.states).max(initial=0.0) / self.epsilon
+        if not top < 2.0**62:
             raise ValueError("grid cells outside +-2^62 (states / epsilon too large); use brute")
+        # Neighbors by rounded distance are <= eps (1 + 3u) apart per axis and
+        # x / side errs by <= u top: past this margin their cells differ by <= 1.
+        side = self.epsilon + self.epsilon * max(2.0**-20, 2.0**-50 * top)
+        cells = np.floor(self.states / side)
         # lexsort is stable, so each cell's agents stay in ascending order.
         order = np.lexsort(cells.T[::-1])
         cells, at = cells[order].astype(np.int64), np.arange(self.n)

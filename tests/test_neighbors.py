@@ -30,9 +30,27 @@ def _assert_same_membership(states, epsilon):
 
 
 @given(random_clouds, st.sampled_from([0.1, 0.3, 1.0]))
+@example(np.array([[1.0, 0.0], [-1.50331497e-26, 0.0]]), 1.0)
 @settings(max_examples=60, deadline=None)
 def test_grid_matches_brute_random(states, epsilon):
     _assert_same_membership(states, epsilon)
+
+
+@pytest.mark.parametrize("magnitude", [0.0, 1.0, 1e4, 1e8, 1e12])
+@pytest.mark.parametrize("epsilon", [1.0, 0.1, 0.05, 3.7])
+def test_grid_matches_brute_when_rounding_closes_a_two_cell_gap(magnitude, epsilon):
+    # a - b is epsilon to a few ulps, a on a multiple of epsilon: b is often
+    # two cells of side epsilon below a, while a - b rounds to epsilon or
+    # below, so brute force counts them as neighbors.  The gap is on the
+    # pencil axis, where the grid looks only one pencil either side.
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        a = np.floor(rng.uniform(-magnitude, magnitude) / epsilon) * epsilon
+        a += rng.integers(-3, 4) * np.abs(np.spacing(a))
+        b = a - epsilon
+        b += rng.integers(-3, 4) * np.abs(np.spacing(b))
+        states = np.array([[a, 0.5], [b, 0.5], [epsilon, 0.0], [-1e-26, 0.0]])
+        _assert_same_membership(states, epsilon)
 
 
 def test_grid_matches_brute_on_exact_threshold_lattice():
