@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -73,21 +74,6 @@ def _resolve_workers(cfg: ExperimentConfig, flag: int | None) -> int:
     return cfg.ensemble.workers
 
 
-def _tail_fit_payload(fit) -> dict | None:
-    if fit is None:
-        return None
-    return {
-        "window": list(fit.window),
-        "n_points": fit.n_points,
-        "semilog_slope": fit.semilog_slope,
-        "semilog_r2": fit.semilog_r2,
-        "loglog_slope": fit.loglog_slope,
-        "loglog_r2": fit.loglog_r2,
-        "degenerate": fit.degenerate,
-        "hint": fit.hint,
-    }
-
-
 def _plateau(points) -> bool | None:
     """Hit fractions at the last two horizons within 0.05 of each other."""
     if len(points) < 2:
@@ -99,6 +85,17 @@ def _sanitize(value):
     if isinstance(value, float) and not np.isfinite(value):
         return repr(value)
     return value
+
+
+def _header(cfg: ExperimentConfig, fingerprint: str) -> dict:
+    """The provenance fields every summary.json starts with."""
+    return {
+        "tool": "hklab",
+        "tool_version": __version__,
+        "config_fingerprint": fingerprint,
+        "label": cfg.label,
+        "scenario": cfg.scenario,
+    }
 
 
 def _run_hitting(cfg: ExperimentConfig, workers: int, out: Path) -> int:
@@ -135,18 +132,15 @@ def _run_hitting(cfg: ExperimentConfig, workers: int, out: Path) -> int:
 
     fingerprint = config_fingerprint(cfg)
     growth = censored_mean_growth(samples, ens.horizons)
+    fit = summary.tail_fit
     payload = {
-        "tool": "hklab",
-        "tool_version": __version__,
-        "config_fingerprint": fingerprint,
-        "label": cfg.label,
-        "scenario": cfg.scenario,
+        **_header(cfg, fingerprint),
         "runs": summary.runs,
         "horizon": summary.horizon,
         "base_seed": summary.base_seed,
         "hit_fraction": summary.hit_fraction,
         "censored_mean": summary.censored_mean,
-        "tail_fit": _tail_fit_payload(summary.tail_fit),
+        "tail_fit": None if fit is None else {**asdict(fit), "hint": fit.hint},
         "horizons": [
             {
                 "horizon": g.horizon,
@@ -164,7 +158,6 @@ def _run_hitting(cfg: ExperimentConfig, workers: int, out: Path) -> int:
     write_survival(out / "survival.csv", summary.survival, fingerprint)
     write_summary(out / "summary.json", payload)
 
-    fit = summary.tail_fit
     slopes = ""
     if fit is not None:
         slopes = f" semilog_slope={fit.semilog_slope:.3g} loglog_slope={fit.loglog_slope:.3g}"
@@ -182,13 +175,8 @@ def _run_recurrence(cfg: ExperimentConfig, out: Path) -> int:
     profile = recurrence_profile(
         cfg.walk, cfg.ball_radius, ens.horizons, ens.base_seed, np.arange(ens.runs)
     )
-    fingerprint = config_fingerprint(cfg)
     payload = {
-        "tool": "hklab",
-        "tool_version": __version__,
-        "config_fingerprint": fingerprint,
-        "label": cfg.label,
-        "scenario": "walk",
+        **_header(cfg, config_fingerprint(cfg)),
         "kind": "recurrence",
         "runs": profile.runs,
         "ball_radius": profile.ball_radius,
@@ -228,19 +216,15 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_preset(args) -> int:
-    variants = preset_variants(args.name)
-    variant = args.variant
-    if variant is not None and variant not in variants:
-        print(
-            f"unknown variant {variant!r} for {args.name}; options: {', '.join(variants)}",
-            file=sys.stderr,
-        )
+    try:
+        cfg = preset(args.name, args.variant)
+    except KeyError as err:
+        print(err.args[0], file=sys.stderr)
         return EXIT_VALIDATION
-    cfg = preset(args.name, variant)
     if args.emit_config:
         sys.stdout.write(dump_config(cfg))
         return EXIT_OK
-    names = ", ".join(v or "(single)" for v in variants)
+    names = ", ".join(v or "(single)" for v in preset_variants(args.name))
     print(f"{cfg.label}: scenario={cfg.scenario} variants=[{names}]")
     print(
         f"  runs={cfg.ensemble.runs} horizons={list(cfg.ensemble.horizons)} "

@@ -4,16 +4,21 @@ One config file describes one experiment: a scenario payload (``hk``
 dynamics ensemble, ``projected`` recursion, or ``walk`` oracle), the
 ensemble settings, and nothing else.  Loading re-validates every module
 invariant and reports all violations at once, each tagged with the
-offending key.  ``dump_config(load_config(p))`` parses back to an
-identical config, and the sha256 fingerprint of the canonical form is
-stamped into every output file so mixed artifacts are detectable.
+offending key.  Every number, a list element included, passes one check
+(_Section._checked): booleans and strings are refused, and so is a
+fraction where an integer is needed.  Each reader returns its typed
+default when a key is absent or bad, and any recorded problem raises
+ConfigError, so no value read after a problem is ever used.
+``dump_config(load_config(p))`` parses back to an identical config, and
+the sha256 fingerprint of the canonical form is stamped into every
+output file so mixed artifacts are detectable.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import yaml
 
@@ -97,22 +102,43 @@ class _Section:
         self.seen.add(key)
         return self.data.get(key, default)
 
+    def _checked(self, key: str, raw, integer: bool):
+        """raw as an int (integer) or a float, or None after recording why not."""
+        if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+            self.problems.append(f"{self._tag(key)}: expected a number, got {raw!r}")
+            return None
+        if not integer:
+            return float(raw)
+        if isinstance(raw, float) and not raw.is_integer():
+            self.problems.append(f"{self._tag(key)}: expected an integer, got {raw!r}")
+            return None
+        return int(raw)
+
     def number(self, key: str, default=None, required: bool = False, integer: bool = False):
         self.seen.add(key)
         if key not in self.data:
             if required:
                 self.problems.append(f"{self._tag(key)}: required key is missing")
             return default
-        raw = self.data[key]
-        if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-            self.problems.append(f"{self._tag(key)}: expected a number, got {raw!r}")
+        value = self._checked(key, self.data[key], integer)
+        return default if value is None else value
+
+    def numbers(self, key: str, default: tuple = (), integer: bool = False, rows: bool = False):
+        """The list under key as a tuple, each element checked as number()
+        checks a scalar; with rows, a list of equal-length such lists."""
+        raw = self.take(key, default)
+        lists = raw if rows and isinstance(raw, (list, tuple)) else [raw]
+        if not all(isinstance(items, (list, tuple)) for items in lists):
+            what = "lists of numbers" if rows else "numbers"
+            self.problems.append(f"{self._tag(key)}: expected a list of {what}, got {raw!r}")
             return default
-        if integer:
-            if float(raw) != int(raw):
-                self.problems.append(f"{self._tag(key)}: expected an integer, got {raw!r}")
-                return default
-            return int(raw)
-        return float(raw)
+        if len({len(items) for items in lists}) > 1:
+            self.problems.append(f"{self._tag(key)}: rows differ in length, got {raw!r}")
+            return default
+        out = [tuple(self._checked(key, v, integer) for v in items) for items in lists]
+        if any(None in items for items in out):
+            return default
+        return tuple(out) if rows else out[0]
 
     def text(self, key: str, default=None, required: bool = False):
         self.seen.add(key)
@@ -159,11 +185,9 @@ def _read_noise(
     """
     family = default.family if default else DEFAULT_NOISE_FAMILY
     delta = None
-    symmetric = False
     if sec is not None:
         family = sec.text("family", family)
         delta = sec.number("delta")
-        symmetric = sec.flag("requires_symmetry")
         sec.reject_unknown()
         if delta is not None and top_delta is not None:
             problems.append("delta and noise.delta both set; keep exactly one")
@@ -173,84 +197,62 @@ def _read_noise(
     if delta is None:
         problems.append("noise.delta: required key is missing")
         return None
-    return NoiseSpec(family=family, delta=float(delta), requires_symmetry=symmetric)
+    return NoiseSpec(family=family, delta=delta)
 
 
 def _read_initial(sec: _Section | None, problems: list[str]) -> InitialCondition:
     if sec is None:
         return InitialCondition(kind="uniform_box")
-    kind = sec.text("kind", "uniform_box")
-    values = sec.take("values", ())
-    seed = sec.number("seed", 0, integer=True)
-    separation = sec.number("separation_eps", 0.0)
-    sizes = sec.take("sizes", (0, 0))
-    sec.reject_unknown()
-    try:
-        values = tuple(tuple(float(v) for v in row) for row in values)
-    except (TypeError, ValueError):
-        problems.append("initial.values: expected a list of coordinate rows")
-        values = ()
-    try:
-        sizes = tuple(int(s) for s in sizes)
-    except (TypeError, ValueError):
-        problems.append("initial.sizes: expected a pair of integers")
-        sizes = (0, 0)
-    if len(sizes) != 2:
-        problems.append(f"initial.sizes: expected exactly two sizes, got {len(sizes)}")
-        sizes = (0, 0)
-    return InitialCondition(
-        kind=kind or "uniform_box",
-        values=values,
-        seed=int(seed or 0),
-        separation_eps=float(separation or 0.0),
-        sizes=sizes,
+    initial = InitialCondition(
+        kind=sec.text("kind", "uniform_box"),
+        values=sec.numbers("values", rows=True),
+        seed=sec.number("seed", 0, integer=True),
+        separation_eps=sec.number("separation_eps", 0.0),
+        sizes=sec.numbers("sizes", (0, 0), integer=True),
     )
+    sec.reject_unknown()
+    if len(initial.sizes) != 2:
+        # validate_model_config unpacks the pair, so keep a pair.
+        problems.append(f"initial.sizes: expected exactly two sizes, got {len(initial.sizes)}")
+        return replace(initial, sizes=(0, 0))
+    return initial
 
 
 def _read_horizons(sec: _Section, problems: list[str]) -> tuple[int, ...]:
-    sec.seen.add("horizon")
-    raw = sec.data.get("horizon", DEFAULT_HORIZON)
-    items = raw if isinstance(raw, (list, tuple)) else [raw]
-    out: list[int] = []
-    for item in items:
-        if isinstance(item, bool) or not isinstance(item, (int, float)) or int(item) != item:
-            problems.append(f"ensemble.horizon: expected integer(s), got {item!r}")
-            return (DEFAULT_HORIZON,)
-        out.append(int(item))
+    if isinstance(sec.take("horizon"), (list, tuple)):
+        out = sec.numbers("horizon", (DEFAULT_HORIZON,), integer=True)
+    else:
+        out = (sec.number("horizon", DEFAULT_HORIZON, integer=True),)
     if not out:
         problems.append("ensemble.horizon: needs at least one horizon")
         return (DEFAULT_HORIZON,)
     if any(h < 1 for h in out):
-        problems.append(f"ensemble.horizon: horizons must be >= 1, got {out}")
+        problems.append(f"ensemble.horizon: horizons must be >= 1, got {list(out)}")
     if any(b <= a for a, b in zip(out, out[1:])):
-        problems.append(f"ensemble.horizon: horizons must be strictly increasing, got {out}")
-    return tuple(out)
+        problems.append(f"ensemble.horizon: horizons must be strictly increasing, got {list(out)}")
+    return out
 
 
 def _read_ensemble(sec: _Section | None, problems: list[str]) -> EnsembleSettings:
     if sec is None:
         return EnsembleSettings()
-    runs = sec.number("runs", DEFAULT_RUNS, integer=True)
-    horizons = _read_horizons(sec, problems)
-    base_seed = sec.number("base_seed", 0, integer=True)
-    workers = sec.number("workers", 1, integer=True)
-    extra = sec.number("extra_after_hit", 0, integer=True)
-    sec.reject_unknown()
-    if runs is not None and runs < 1:
-        problems.append(f"ensemble.runs: need at least one run, got {runs}")
-    if workers is not None and workers < 1:
-        problems.append(f"ensemble.workers: need at least one worker, got {workers}")
-    if extra is not None and extra < 0:
-        problems.append(f"ensemble.extra_after_hit: must be >= 0, got {extra}")
-    if base_seed is not None and not 0 <= base_seed < 2**64:
-        problems.append(f"ensemble.base_seed: must fit in 64 bits, got {base_seed}")
-    return EnsembleSettings(
-        runs=int(runs or DEFAULT_RUNS),
-        horizons=horizons,
-        base_seed=int(base_seed or 0),
-        workers=int(workers or 1),
-        extra_after_hit=int(extra or 0),
+    ens = EnsembleSettings(
+        runs=sec.number("runs", DEFAULT_RUNS, integer=True),
+        horizons=_read_horizons(sec, problems),
+        base_seed=sec.number("base_seed", 0, integer=True),
+        workers=sec.number("workers", 1, integer=True),
+        extra_after_hit=sec.number("extra_after_hit", 0, integer=True),
     )
+    sec.reject_unknown()
+    if ens.runs < 1:
+        problems.append(f"ensemble.runs: need at least one run, got {ens.runs}")
+    if ens.workers < 1:
+        problems.append(f"ensemble.workers: need at least one worker, got {ens.workers}")
+    if ens.extra_after_hit < 0:
+        problems.append(f"ensemble.extra_after_hit: must be >= 0, got {ens.extra_after_hit}")
+    if not 0 <= ens.base_seed < 2**64:
+        problems.append(f"ensemble.base_seed: must fit in 64 bits, got {ens.base_seed}")
+    return ens
 
 
 def _read_hk(root: _Section, problems: list[str]) -> ModelConfig | None:
@@ -265,9 +267,9 @@ def _read_hk(root: _Section, problems: list[str]) -> ModelConfig | None:
     if None in (n, d, epsilon, space_mode) or noise is None:
         return None
     cfg = ModelConfig(
-        n=int(n),
-        d=int(d),
-        epsilon=float(epsilon),
+        n=n,
+        d=d,
+        epsilon=epsilon,
         space_mode=space_mode,
         noise=noise,
         initial=initial,
@@ -289,13 +291,7 @@ def _read_map(sec: _Section | None, problems: list[str]) -> MapSpec | None:
     sec.reject_unknown()
     if family is None:
         return None
-    return MapSpec(
-        family=family,
-        alpha=float(alpha or 0.0) if alpha is not None else 1.0,
-        epsilon=float(epsilon or 0.0),
-        n=int(n or 0),
-        d=int(d or 0),
-    )
+    return MapSpec(family=family, alpha=alpha, epsilon=epsilon, n=n, d=d)
 
 
 def _read_projected(root: _Section, problems: list[str]) -> ProjectedSystemSpec | None:
@@ -305,17 +301,10 @@ def _read_projected(root: _Section, problems: list[str]) -> ProjectedSystemSpec 
     mp = _read_map(root.section("map"), problems)
     top_delta = root.number("delta")
     noise = _read_noise(root.section("noise"), problems, top_delta)
-    start = root.take("start", ())
-    try:
-        start = tuple(float(v) for v in start)
-    except (TypeError, ValueError):
-        problems.append("start: expected a list of coordinates")
-        start = ()
+    start = root.numbers("start")
     if None in (dim, r, r0) or mp is None or noise is None:
         return None
-    spec = ProjectedSystemSpec(
-        dim=int(dim), r=float(r), r0=float(r0), map=mp, noise=noise, start=start
-    )
+    spec = ProjectedSystemSpec(dim=dim, r=r, r0=r0, map=mp, noise=noise, start=start)
     problems.extend(validate_projected_spec(spec))
     return spec
 
@@ -333,24 +322,19 @@ def _read_walk(root: _Section, problems: list[str]):
         beta = root.number("beta", required=True)
         bound_m = root.number("bound_m", required=True)
         if None not in (beta, bound_m):
-            spec = StretchedWalkSpec(beta=float(beta), bound_m=float(bound_m), step=noise)
+            spec = StretchedWalkSpec(beta=beta, bound_m=bound_m, step=noise)
     else:
         dim = root.number("dim", required=True, integer=True)
-        start = root.take("start", ())
-        try:
-            start = tuple(float(v) for v in start)
-        except (TypeError, ValueError):
-            problems.append("start: expected a list of coordinates")
-            start = ()
+        start = root.numbers("start")
         if dim is not None:
-            spec = WalkSpec(dim=int(dim), step=noise, start=start)
+            spec = WalkSpec(dim=dim, step=noise, start=start)
     if spec is not None:
         problems.extend(validate_walk_spec(spec))
-    if kind == "first_passage" and threshold is not None and threshold > 0.0:
+    if kind == "first_passage" and threshold > 0.0:
         problems.append(f"threshold: first-passage level must be <= 0, got {threshold}")
-    if kind == "recurrence" and ball_radius is not None and ball_radius <= 0.0:
+    if kind == "recurrence" and ball_radius <= 0.0:
         problems.append(f"ball_radius: must be positive, got {ball_radius}")
-    return spec, kind, float(threshold or 0.0), float(ball_radius or 1.0)
+    return spec, kind, threshold, ball_radius
 
 
 def config_from_dict(data, source: str = "<config>") -> ExperimentConfig:
@@ -394,7 +378,7 @@ def config_from_dict(data, source: str = "<config>") -> ExperimentConfig:
         walk_kind=walk_kind,
         threshold=threshold,
         ball_radius=ball_radius,
-        label=label or "",
+        label=label,
     )
 
 
@@ -420,13 +404,6 @@ def load_config(path) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-def _noise_dict(spec: NoiseSpec) -> dict:
-    out = {"family": spec.family, "delta": spec.delta}
-    if spec.requires_symmetry:
-        out["requires_symmetry"] = True
-    return out
-
-
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     """Plain-data form; load(dump(cfg)) == cfg."""
     out: dict = {"scenario": cfg.scenario}
@@ -435,7 +412,7 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     if cfg.scenario == "hk" and cfg.model is not None:
         m = cfg.model
         out.update(n=m.n, d=m.d, epsilon=m.epsilon, space_mode=m.space_mode)
-        out["noise"] = _noise_dict(m.noise)
+        out["noise"] = asdict(m.noise)
         init = {"kind": m.initial.kind}
         if m.initial.kind == "explicit":
             init["values"] = [list(row) for row in m.initial.values]
@@ -456,7 +433,7 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
         if p.map.family == "hk_mean":
             mp.update(epsilon=p.map.epsilon, n=p.map.n, d=p.map.d)
         out["map"] = mp
-        out["noise"] = _noise_dict(p.noise)
+        out["noise"] = asdict(p.noise)
         if p.start:
             out["start"] = list(p.start)
     elif cfg.scenario == "walk" and cfg.walk is not None:
@@ -464,13 +441,11 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
         w = cfg.walk
         if isinstance(w, StretchedWalkSpec):
             out.update(beta=w.beta, bound_m=w.bound_m)
-            step = w.step
         else:
             out["dim"] = w.dim
             if w.start:
                 out["start"] = list(w.start)
-            step = w.step
-        out["noise"] = _noise_dict(step)
+        out["noise"] = asdict(w.step)
         if cfg.walk_kind == "first_passage" and cfg.threshold != 0.0:
             out["threshold"] = cfg.threshold
         if cfg.walk_kind == "recurrence":

@@ -164,6 +164,11 @@ def _line_fit(x: np.ndarray, y: np.ndarray):
     return float(slope), r2
 
 
+def _fit_points(curve: SurvivalCurve, lo: int, hi: int) -> np.ndarray:
+    """Mask of the grid points a fit over [lo, hi] uses: t > 0 and S(t) > 0."""
+    return (curve.times >= lo) & (curve.times <= hi) & (curve.values > 0.0) & (curve.times > 0)
+
+
 def fit_tail(curve: SurvivalCurve, window: tuple[int, int]) -> TailFit:
     """Fit the survival curve over grid points inside [window[0], window[1]].
 
@@ -171,7 +176,7 @@ def fit_tail(curve: SurvivalCurve, window: tuple[int, int]) -> TailFit:
     MIN_FIT_POINTS usable points is a diagnostic error.
     """
     lo, hi = window
-    mask = (curve.times >= lo) & (curve.times <= hi) & (curve.values > 0.0) & (curve.times > 0)
+    mask = _fit_points(curve, lo, hi)
     t = curve.times[mask].astype(np.float64)
     s = curve.values[mask]
     if t.size < MIN_FIT_POINTS:
@@ -211,11 +216,9 @@ def auto_tail_window(curve: SurvivalCurve) -> tuple[int, int] | None:
     below = curve.times[(curve.values <= 0.5) & (curve.times > 0)]
     lo = int(below[0]) if below.size else int(pos[0])
     hi = int(pos[-1])
-    mask = (curve.times >= lo) & (curve.times <= hi) & (curve.values > 0.0) & (curve.times > 0)
-    if int(mask.sum()) < MIN_FIT_POINTS:
+    if int(_fit_points(curve, lo, hi).sum()) < MIN_FIT_POINTS:
         lo = int(pos[0])
-        mask = (curve.times >= lo) & (curve.times <= hi) & (curve.values > 0.0) & (curve.times > 0)
-        if int(mask.sum()) < MIN_FIT_POINTS:
+        if int(_fit_points(curve, lo, hi).sum()) < MIN_FIT_POINTS:
             return None
     return lo, hi
 

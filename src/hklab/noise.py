@@ -33,9 +33,6 @@ from .prng import bits_at, uniforms_at
 
 FAMILIES = ("uniform_ball", "uniform_cube", "rademacher_axes")
 
-# All built-in families are symmetric: xi and -xi are identically distributed.
-SYMMETRIC_FAMILIES = frozenset(FAMILIES)
-
 _TWO_PI = 2.0 * np.pi
 
 # Draws per block of the uniform_ball transform, which works on planar
@@ -45,15 +42,10 @@ _BALL_BLOCK = 8192
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Choice of noise family and magnitude bound.
-
-    requires_symmetry marks specs used in scenarios whose conclusions
-    need a symmetric law; validate_noise_spec enforces it structurally.
-    """
+    """Choice of noise family and magnitude bound."""
 
     family: str
     delta: float
-    requires_symmetry: bool = False
 
 
 def uniforms_per_draw(family: str, d: int) -> int:
@@ -255,8 +247,6 @@ def validate_noise_spec(
         problems.append(f"unknown noise family: {spec.family!r}")
     if not (spec.delta > 0.0) or not np.isfinite(spec.delta):
         problems.append(f"noise delta must be positive and finite, got {spec.delta}")
-    if spec.requires_symmetry and spec.family not in SYMMETRIC_FAMILIES:
-        problems.append(f"family {spec.family!r} does not guarantee a symmetric law")
     if epsilon is not None and spec.delta > epsilon / 2.0 and not allow_large_delta:
         problems.append(
             f"delta exceeds epsilon/2 ({spec.delta} > {epsilon / 2.0}); quasi-"

@@ -76,7 +76,7 @@ def _thm2a(d: int) -> ExperimentConfig:
         n=2 * n1,
         d=d,
         epsilon=0.5,
-        noise=NoiseSpec("uniform_cube", 0.25, requires_symmetry=True),
+        noise=NoiseSpec("uniform_cube", 0.25),
         initial=InitialCondition(kind="two_cluster", sizes=(n1, n1), separation_eps=sep),
         space_mode="unbounded",
         ensemble=EnsembleSettings(
@@ -96,7 +96,7 @@ def _thm2b() -> ExperimentConfig:
         n=4,
         d=3,
         epsilon=0.5,
-        noise=NoiseSpec("uniform_ball", 0.25, requires_symmetry=True),
+        noise=NoiseSpec("uniform_ball", 0.25),
         initial=InitialCondition(kind="two_cluster", sizes=(2, 2), separation_eps=10.0),
         space_mode="unbounded",
         ensemble=EnsembleSettings(
@@ -193,16 +193,12 @@ def preset_variants(name: str) -> tuple[str, ...]:
 
 def preset(name: str, variant: str | None = None) -> ExperimentConfig:
     """The named configuration; multi-variant presets take a variant key."""
-    variants = _FAMILIES.get(name)
-    if variants is None:
-        raise KeyError(f"unknown preset {name!r}; options are {PRESET_NAMES}")
+    variants = preset_variants(name)
     if variant is None:
-        variant = next(iter(variants))
+        variant = variants[0]
     if variant not in variants:
-        raise KeyError(
-            f"unknown variant {variant!r} for preset {name}; options are {tuple(variants)}"
-        )
-    return variants[variant]()
+        raise KeyError(f"unknown variant {variant!r} for preset {name}; options are {variants}")
+    return _FAMILIES[name][variant]()
 
 
 def scaled_preset(cfg: ExperimentConfig, runs: int | None = None, horizon: int | None = None):

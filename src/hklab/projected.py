@@ -35,7 +35,7 @@ import numpy as np
 from .model import pairwise_sq_dists, runs_last_sums, sq_norm_last
 from .noise import NoiseSpec, validate_noise_spec
 from .prng import run_keys, uniforms_for_step
-from .walks import Samples, _censored_hitting, _noise_chunks, _step_each
+from .walks import Samples, _censored_hitting, _noise_chunks, _require, _step_each
 
 MAP_FAMILIES = ("identity", "linear_scale", "target_stretch", "hk_mean")
 
@@ -194,9 +194,7 @@ def hitting_time_td(
     per-run noise streams.  end_value is ||S|| at the hitting step or
     at the horizon.
     """
-    bad = validate_projected_spec(spec)
-    if bad:
-        raise ValueError("; ".join(bad))
+    _require(validate_projected_spec(spec))
     r0sq = spec.r0 * spec.r0
 
     def norm(s):
@@ -222,9 +220,7 @@ def trajectory(
     horizon: int,
 ) -> np.ndarray:
     """The path S(0..horizon), shape (horizon+1, dim); for diagnostics."""
-    bad = validate_projected_spec(spec)
-    if bad:
-        raise ValueError("; ".join(bad))
+    _require(validate_projected_spec(spec))
     keys = run_keys(base_seed, np.asarray([run_index], dtype=np.int64))
     out = np.empty((horizon + 1, spec.dim), dtype=np.float64)
     out[0] = spec.start_point()
@@ -283,9 +279,7 @@ def sampled_audit(
     declared coefficient is inf cannot be audited; the result then
     reports the observed worst ratio with violations = 0 checked = 0.
     """
-    bad = validate_projected_spec(spec)
-    if bad:
-        raise ValueError("; ".join(bad))
+    _require(validate_projected_spec(spec))
     coeff = declared_coefficient(spec.map)
     key = run_keys(base_seed, np.asarray([0], dtype=np.int64))[0]
     x = _annulus_points(spec.dim, spec.r0, spec.r, points, key)

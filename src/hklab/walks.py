@@ -212,10 +212,10 @@ def validate_walk_spec(spec) -> list[str]:
     return out
 
 
-def _require_valid(spec) -> None:
-    bad = validate_walk_spec(spec)
-    if bad:
-        raise ValueError("; ".join(bad))
+def _require(problems: list[str]) -> None:
+    """Raise one ValueError listing every problem, if there are any."""
+    if problems:
+        raise ValueError("; ".join(problems))
 
 
 def _chunk_steps(active: int, n: int, w: int, remaining: int) -> int:
@@ -358,7 +358,7 @@ def first_passage_below(
     surely finite but has infinite mean; the survival tail decays like
     t^(-1/2), which is what the censored-mean diagnostics lean on.
     """
-    _require_valid(spec)
+    _require(validate_walk_spec(spec))
     if spec.dim != 1:
         raise ValueError("first_passage_below is defined for dim 1")
     if b > 0.0:
@@ -393,7 +393,7 @@ def stretched_first_passage(
     end_value = inf instead of iterating out an astronomically large
     float to the horizon.
     """
-    _require_valid(spec)
+    _require(validate_walk_spec(spec))
     beta = float(spec.beta)
     m = float(spec.bound_m)
 
@@ -444,7 +444,7 @@ def recurrence_profile(
     base_seed: int,
     run_indices,
 ) -> RecurrenceProfile:
-    _require_valid(spec)
+    _require(validate_walk_spec(spec))
     if ball_radius < 0.0:
         raise ValueError("ball_radius must be nonnegative")
     horizons = np.asarray(sorted(set(int(h) for h in horizons)), dtype=np.int64)
@@ -543,7 +543,7 @@ def cluster_gap_walk(
     Ball variant (radius given, any dim): first t >= 1 with
     ||gap0 + Z(t)|| <= radius, the transience diagnostic for d >= 3.
     """
-    _require_valid(spec)
+    _require(validate_walk_spec(spec))
     gap0 = np.atleast_1d(np.asarray(gap0, dtype=np.float64))
     if gap0.shape != (spec.dim,):
         raise ValueError(f"gap0 must have {spec.dim} coordinates")

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import yaml
 
 import hklab.ensemble as ensemble
 from hklab.cli import EXIT_OK, EXIT_PARSE, EXIT_RESOURCE, EXIT_RUNTIME, EXIT_VALIDATION, main
@@ -97,9 +98,9 @@ def test_minimal_config_defaults():
 def test_delta_shorthand_and_nested_conflict():
     nested = dict(MINIMAL_HK)
     del nested["delta"]
-    nested["noise"] = {"family": "uniform_cube", "delta": 0.25, "requires_symmetry": True}
+    nested["noise"] = {"family": "uniform_cube", "delta": 0.25}
     cfg = config_from_dict(nested)
-    assert cfg.model.noise == NoiseSpec("uniform_cube", 0.25, requires_symmetry=True)
+    assert cfg.model.noise == NoiseSpec("uniform_cube", 0.25)
     both = dict(nested)
     both["delta"] = 0.25
     with pytest.raises(ConfigError) as err:
@@ -139,6 +140,50 @@ def test_model_validation_problems_surface():
     assert any("delta exceeds epsilon/2" in p for p in err.value.problems)
 
 
+def _hk_with(**keys):
+    return {**MINIMAL_HK, **keys}
+
+
+@pytest.mark.parametrize(
+    "data, problem",
+    [
+        (
+            _hk_with(
+                space_mode="unbounded",
+                initial={"kind": "two_cluster", "separation_eps": 5.0, "sizes": [2.7, "2"]},
+            ),
+            "initial.sizes: expected an integer, got 2.7",
+        ),
+        (
+            _hk_with(initial={"kind": "explicit", "values": [[True], ["0.5"], [0.0], [0.1]]}),
+            "initial.values: expected a number, got True",
+        ),
+        (
+            _hk_with(initial={"kind": "explicit", "values": [[0.1], [0.2, 0.3], [0.0], [0.1]]}),
+            "initial.values: rows differ in length",
+        ),
+        (_hk_with(initial={"kind": ""}), "unknown initial kind: ''"),
+        (_hk_with(ensemble={"runs": float("inf")}), "ensemble.runs: expected an integer, got inf"),
+        (
+            {"scenario": "walk", "kind": "recurrence", "dim": 2, "start": ["1", False]},
+            "start: expected a number, got '1'",
+        ),
+        (
+            {"scenario": "walk", "dim": 1, "noise": {"requires_symmetry": True}},
+            "noise.requires_symmetry: unknown key",
+        ),
+    ],
+    ids=["sizes", "value_types", "ragged_values", "empty_kind", "inf_runs", "start", "symmetry"],
+)
+def test_bad_values_give_key_tagged_problems(tmp_path, capsys, data, problem):
+    # List elements pass the same number check as scalar keys, and every
+    # problem names its key, so the YAML file fails validation (exit 3).
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(data))
+    assert main(["validate", str(path)]) == EXIT_VALIDATION
+    assert f"  - {problem}" in capsys.readouterr().err
+
+
 def test_config_error_report_format():
     err = ConfigError("2 problems in cfg", problems=["a: bad", "b: worse"])
     assert err.report() == "2 problems in cfg\n  - a: bad\n  - b: worse"
@@ -171,13 +216,13 @@ def test_all_presets_roundtrip_through_yaml():
 
 
 def test_walk_noise_roundtrips_through_yaml():
-    # A walk step dumps every noise key, requires_symmetry included, and
-    # loading reads it back through the same reader as hk noise.
-    symmetric = NoiseSpec("uniform_cube", 0.5, requires_symmetry=True)
+    # A walk step dumps every noise key, and loading reads it back
+    # through the same reader as hk noise.
+    cube = NoiseSpec("uniform_cube", 0.5)
     walks = (
-        ("first_passage", WalkSpec(dim=1, step=symmetric)),
-        ("recurrence", WalkSpec(dim=2, step=symmetric, start=(0.5, -0.5))),
-        ("stretched", StretchedWalkSpec(beta=1.5, bound_m=2.0, step=symmetric)),
+        ("first_passage", WalkSpec(dim=1, step=cube)),
+        ("recurrence", WalkSpec(dim=2, step=cube, start=(0.5, -0.5))),
+        ("stretched", StretchedWalkSpec(beta=1.5, bound_m=2.0, step=cube)),
         ("first_passage", WalkSpec(dim=1)),
     )
     for kind, spec in walks:
@@ -191,6 +236,28 @@ def test_walk_noise_roundtrips_through_yaml():
     only_family = {"scenario": "walk", "dim": 1, "noise": {"family": "uniform_cube"}}
     assert config_from_dict(only_family).walk.step == NoiseSpec("uniform_cube", 1.0)
     assert config_from_dict({"scenario": "walk", "dim": 1}).walk.step == SIMPLE_STEP
+
+
+def test_preset_fingerprints_are_pinned():
+    # Every artifact carries the fingerprint of the canonical form, so a
+    # refactor of the config layer must not move it.
+    assert {
+        (name, variant): config_fingerprint(preset(name, variant))
+        for name in PRESET_NAMES
+        for variant in preset_variants(name)
+    } == {
+        ("thm1_bounded", "d1"): "2b5f9fba0ae9d63372bba0d56319ee8f9853c6f9fe8beecbaa467da28f5c348f",
+        ("thm1_bounded", "d2"): "84c64bf9946ccaff81d5a94224480896242db077c144839aa8cc01312fe7b68c",
+        ("thm1_bounded", "d3"): "2b836696a0cef35ae1b2d2dea1bd1847aa5c057cd8c24fdfb4b7086ec1bc4243",
+        ("thm2a_d1", ""): "f8a610a5c3b409a341c2f6e24826227513e2f89fdb2ab1188859155f6ac740d5",
+        ("thm2a_d2", ""): "8bcfaf38d9e0c61cbbdcb0fee1b1e26f866296f564ee71784b2c4a0af0a94dea",
+        ("thm2b_d3", ""): "62a6ccb4e54b7eeeedffd7240c360d9a26afe2ce2eacbed5784d90e9d1f71700",
+        ("lemma1_alpha_gt1", ""): "ba1dbf5a8eeb8d50af01a4b03e1abe0e69248913321f6d272cfff25dbb84da75",
+        ("corollary1", ""): "821a32238f3136134d4c3e02a35880d6b73cce1f0a6ad0b62f75e11220187ef3",
+        ("lemma2_walk", ""): "b17d93bcc08ec6f0054a9472a5b8e18c406e4764dffcf97978e64d3bbe49646b",
+        ("lemma4_recurrence", "d1"): "4d78385d38874ff1c3da0d89c061d2511b94490e7225f7ed3bc882207c8f1b63",
+        ("lemma4_recurrence", "d3"): "488af14518a366c8d80c243a4f56c05b46da09bbc8cbfbed2399a75bf1844775",
+    }
 
 
 def test_fingerprint_sensitivity():
@@ -231,7 +298,6 @@ def test_preset_two_cluster_pins():
     d3 = preset("thm2b_d3")
     assert d3.model.initial.separation_eps == 10.0
     assert d3.model.d == 3
-    assert d3.model.noise.requires_symmetry
     assert d3.ensemble.horizons == (10_000, 100_000)
     for cfg in (d1, d3):
         sep = cfg.model.initial.separation_eps * cfg.model.epsilon
@@ -446,6 +512,46 @@ def test_cli_run_recurrence_writes_summary_only(tmp_path):
     assert visits == sorted(visits)
     assert not (out / "samples.csv").exists()
     assert not (out / "survival.csv").exists()
+
+
+def test_cli_summary_key_order(tmp_path):
+    # summary.json opens with one provenance header, and its keys keep
+    # their order, so blocks appended later do not reshuffle the file.
+    header = ["tool", "tool_version", "config_fingerprint", "label", "scenario"]
+    hitting = header + [
+        "runs",
+        "horizon",
+        "base_seed",
+        "hit_fraction",
+        "censored_mean",
+        "tail_fit",
+        "horizons",
+        "plateau",
+        "incomplete",
+    ]
+    recurrence = header + ["kind", "runs", "ball_radius", "base_seed", "profile", "incomplete"]
+    runs = (
+        (_tiny_run_cfg(), hitting + ["absorb_violations"]),
+        (scaled_preset(preset("lemma2_walk"), runs=16, horizon=500), hitting),
+        (scaled_preset(preset("lemma1_alpha_gt1"), runs=16, horizon=2000), hitting),
+        (scaled_preset(preset("lemma4_recurrence", "d1"), runs=8, horizon=200), recurrence),
+    )
+    for k, (cfg, keys) in enumerate(runs):
+        out = tmp_path / f"run{k}"
+        assert main(["run", _write_cfg(tmp_path, cfg), "--out", str(out)]) == EXIT_OK
+        summary = read_summary(out / "summary.json")
+        assert list(summary) == keys, cfg.label
+        if "tail_fit" in summary:
+            assert list(summary["tail_fit"]) == [
+                "window",
+                "n_points",
+                "semilog_slope",
+                "semilog_r2",
+                "loglog_slope",
+                "loglog_r2",
+                "degenerate",
+                "hint",
+            ], cfg.label
 
 
 def test_cli_preset_emit_config_roundtrips(tmp_path, capsys):

@@ -509,7 +509,7 @@ def test_trajectory_snapshots_and_gap():
         d=2,
         epsilon=0.5,
         space_mode="unbounded",
-        noise=NoiseSpec("uniform_cube", 0.25, requires_symmetry=True),
+        noise=NoiseSpec("uniform_cube", 0.25),
         initial=InitialCondition("two_cluster", separation_eps=6.0, sizes=(2, 2)),
     )
     res = run_batch(cfg, 1, [0], 50, snapshot_stride=25)

@@ -189,7 +189,7 @@ def test_cube_coordinates_in_range(d):
 
 
 def test_ball_fills_interior_and_reaches_boundary():
-    spec = NoiseSpec("uniform_ball", 1.0, requires_symmetry=True)
+    spec = NoiseSpec("uniform_ball", 1.0)
     xi = _block(spec, 3, runs=256)
     norms = np.sqrt(np.sum(xi * xi, axis=-1)).ravel()
     assert norms.max() > 0.99
@@ -283,7 +283,7 @@ def test_sample_noise_rejects_bad_indices():
 
 def test_validate_accepts_builtin_symmetric_families():
     for family in FAMILIES:
-        assert validate_noise_spec(NoiseSpec(family, 0.1, requires_symmetry=True)) == []
+        assert validate_noise_spec(NoiseSpec(family, 0.1)) == []
 
 
 def test_validate_rejects_unknown_family_and_bad_delta():

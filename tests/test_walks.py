@@ -274,7 +274,7 @@ def test_cluster_walk_bounds_simulation_hit_times():
     # First-contact coupling: on shared streams the simulated group
     # cannot quasi-synchronize before the gap walk first dips to the
     # contact threshold, so T_sim >= T_Q run by run.
-    noise = NoiseSpec("uniform_cube", 0.25, requires_symmetry=True)
+    noise = NoiseSpec("uniform_cube", 0.25)
     cfg = ModelConfig(
         n=4,
         d=1,
