@@ -8,7 +8,9 @@ offending key.  Every number, a list element included, passes one check
 (_Section._checked): booleans and strings are refused, and so is a
 fraction where an integer is needed.  Each reader returns its typed
 default when a key is absent or bad, and any recorded problem raises
-ConfigError, so no value read after a problem is ever used.
+ConfigError, so no value read after a problem is ever used; model
+validation skips the checks of a key already reported bad, so that
+default draws no problem of its own.
 ``dump_config(load_config(p))`` parses back to an identical config, and
 the sha256 fingerprint of the canonical form is stamped into every
 output file so mixed artifacts are detectable.
@@ -89,14 +91,20 @@ class ExperimentConfig:
 class _Section:
     """A mapping with typed, key-tagged field access."""
 
-    def __init__(self, data: dict, prefix: str, problems: list[str]):
+    def __init__(self, data: dict, prefix: str, problems: list[str], bad: set[str] | None = None):
         self.data = dict(data)
         self.prefix = prefix
         self.problems = problems
+        # Tagged keys with a recorded problem, shared with nested sections.
+        self.bad: set[str] = set() if bad is None else bad
         self.seen: set[str] = set()
 
     def _tag(self, key: str) -> str:
         return f"{self.prefix}{key}"
+
+    def problem(self, key: str, text: str) -> None:
+        self.bad.add(self._tag(key))
+        self.problems.append(f"{self._tag(key)}: {text}")
 
     def take(self, key: str, default=None):
         self.seen.add(key)
@@ -105,12 +113,12 @@ class _Section:
     def _checked(self, key: str, raw, integer: bool):
         """raw as an int (integer) or a float, or None after recording why not."""
         if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-            self.problems.append(f"{self._tag(key)}: expected a number, got {raw!r}")
+            self.problem(key, f"expected a number, got {raw!r}")
             return None
         if not integer:
             return float(raw)
         if isinstance(raw, float) and not raw.is_integer():
-            self.problems.append(f"{self._tag(key)}: expected an integer, got {raw!r}")
+            self.problem(key, f"expected an integer, got {raw!r}")
             return None
         return int(raw)
 
@@ -118,7 +126,7 @@ class _Section:
         self.seen.add(key)
         if key not in self.data:
             if required:
-                self.problems.append(f"{self._tag(key)}: required key is missing")
+                self.problem(key, "required key is missing")
             return default
         value = self._checked(key, self.data[key], integer)
         return default if value is None else value
@@ -130,10 +138,10 @@ class _Section:
         lists = raw if rows and isinstance(raw, (list, tuple)) else [raw]
         if not all(isinstance(items, (list, tuple)) for items in lists):
             what = "lists of numbers" if rows else "numbers"
-            self.problems.append(f"{self._tag(key)}: expected a list of {what}, got {raw!r}")
+            self.problem(key, f"expected a list of {what}, got {raw!r}")
             return default
         if len({len(items) for items in lists}) > 1:
-            self.problems.append(f"{self._tag(key)}: rows differ in length, got {raw!r}")
+            self.problem(key, f"rows differ in length, got {raw!r}")
             return default
         out = [tuple(self._checked(key, v, integer) for v in items) for items in lists]
         if any(None in items for items in out):
@@ -144,11 +152,11 @@ class _Section:
         self.seen.add(key)
         if key not in self.data:
             if required:
-                self.problems.append(f"{self._tag(key)}: required key is missing")
+                self.problem(key, "required key is missing")
             return default
         raw = self.data[key]
         if not isinstance(raw, str):
-            self.problems.append(f"{self._tag(key)}: expected a string, got {raw!r}")
+            self.problem(key, f"expected a string, got {raw!r}")
             return default
         return raw
 
@@ -156,7 +164,7 @@ class _Section:
         self.seen.add(key)
         raw = self.data.get(key, default)
         if not isinstance(raw, bool):
-            self.problems.append(f"{self._tag(key)}: expected true/false, got {raw!r}")
+            self.problem(key, f"expected true/false, got {raw!r}")
             return default
         return raw
 
@@ -166,13 +174,13 @@ class _Section:
             return None
         raw = self.data[key]
         if not isinstance(raw, dict):
-            self.problems.append(f"{self._tag(key)}: expected a mapping, got {raw!r}")
+            self.problem(key, f"expected a mapping, got {raw!r}")
             return None
-        return _Section(raw, f"{self._tag(key)}.", self.problems)
+        return _Section(raw, f"{self._tag(key)}.", self.problems, self.bad)
 
     def reject_unknown(self) -> None:
         for key in sorted(set(self.data) - self.seen):
-            self.problems.append(f"{self._tag(key)}: unknown key")
+            self.problem(key, "unknown key")
 
 
 def _read_noise(
@@ -200,7 +208,7 @@ def _read_noise(
     return NoiseSpec(family=family, delta=delta)
 
 
-def _read_initial(sec: _Section | None, problems: list[str]) -> InitialCondition:
+def _read_initial(sec: _Section | None) -> InitialCondition:
     if sec is None:
         return InitialCondition(kind="uniform_box")
     initial = InitialCondition(
@@ -213,7 +221,7 @@ def _read_initial(sec: _Section | None, problems: list[str]) -> InitialCondition
     sec.reject_unknown()
     if len(initial.sizes) != 2:
         # validate_model_config unpacks the pair, so keep a pair.
-        problems.append(f"initial.sizes: expected exactly two sizes, got {len(initial.sizes)}")
+        sec.problem("sizes", f"expected exactly two sizes, got {len(initial.sizes)}")
         return replace(initial, sizes=(0, 0))
     return initial
 
@@ -262,7 +270,7 @@ def _read_hk(root: _Section, problems: list[str]) -> ModelConfig | None:
     space_mode = root.text("space_mode", required=True)
     top_delta = root.number("delta")
     noise = _read_noise(root.section("noise"), problems, top_delta)
-    initial = _read_initial(root.section("initial"), problems)
+    initial = _read_initial(root.section("initial"))
     allow_large = root.flag("allow_large_delta")
     if None in (n, d, epsilon, space_mode) or noise is None:
         return None
@@ -275,7 +283,7 @@ def _read_hk(root: _Section, problems: list[str]) -> ModelConfig | None:
         initial=initial,
         allow_large_delta=allow_large,
     )
-    problems.extend(validate_model_config(cfg))
+    problems.extend(validate_model_config(cfg, skip=root.bad))
     return cfg
 
 

@@ -231,8 +231,13 @@ class ModelConfig:
         return self.noise.delta
 
 
-def validate_model_config(cfg: ModelConfig) -> list[str]:
-    """Collect violations; empty list means the config is runnable."""
+def validate_model_config(cfg: ModelConfig, skip=frozenset()) -> list[str]:
+    """Collect violations; empty list means the config is runnable.
+
+    skip names fields already reported bad, as config keys
+    ("initial.sizes", "allow_large_delta", ...): they hold placeholders,
+    so the checks that read them are left out.
+    """
     problems: list[str] = []
     if cfg.n < 2:
         problems.append(f"need at least 2 agents, got n={cfg.n}")
@@ -249,11 +254,12 @@ def validate_model_config(cfg: ModelConfig) -> list[str]:
                 f"epsilon exceeds 2*sqrt(d) = {limit} (got {cfg.epsilon}); no pair "
                 "could ever disconnect in bounded mode"
             )
-    problems += validate_noise_spec(cfg.noise, cfg.epsilon, cfg.allow_large_delta)
+    allow_large = cfg.allow_large_delta or "allow_large_delta" in skip
+    problems += validate_noise_spec(cfg.noise, cfg.epsilon, allow_large)
     init = cfg.initial
     if init.kind not in INITIAL_KINDS:
         problems.append(f"unknown initial kind: {init.kind!r}")
-    elif init.kind == "explicit":
+    elif init.kind == "explicit" and "initial.values" not in skip:
         try:
             x = init.build(cfg.n, cfg.d, cfg.epsilon)
         except ValueError as err:
@@ -263,14 +269,15 @@ def validate_model_config(cfg: ModelConfig) -> list[str]:
                 problems.append("explicit initial states fall outside [-1, 1] in bounded mode")
     elif init.kind == "two_cluster":
         n1, n2 = init.sizes
-        if n1 + n2 != cfg.n or n1 < 1 or n2 < 1:
+        if "initial.sizes" not in skip and (n1 + n2 != cfg.n or n1 < 1 or n2 < 1):
             problems.append(f"two_cluster sizes {init.sizes} incompatible with n={cfg.n}")
         sep = init.separation_eps * cfg.epsilon
         need = _SQRT2 * cfg.epsilon + 2.0 * cfg.noise.delta
-        if not sep > need:
-            problems.append(
-                f"two_cluster separation {sep} must exceed sqrt(2)*epsilon + 2*delta = {need}"
-            )
-        if cfg.space_mode == "bounded" and sep / 2.0 > BOX_HI:
-            problems.append("two_cluster centroids fall outside [-1, 1] in bounded mode")
+        if "initial.separation_eps" not in skip:
+            if not sep > need:
+                problems.append(
+                    f"two_cluster separation {sep} must exceed sqrt(2)*epsilon + 2*delta = {need}"
+                )
+            if cfg.space_mode == "bounded" and sep / 2.0 > BOX_HI:
+                problems.append("two_cluster centroids fall outside [-1, 1] in bounded mode")
     return problems

@@ -209,7 +209,16 @@ def hitting_time_td(
         return stop, stop >= 0, norm(s), s
 
     return _censored_hitting(
-        spec.noise, 1, spec.dim, spec.start_point(), advance, norm, base_seed, run_indices, horizon
+        spec.noise,
+        1,
+        spec.dim,
+        spec.start_point(),
+        advance,
+        norm,
+        base_seed,
+        run_indices,
+        horizon,
+        tiled=False,
     )
 
 

@@ -27,9 +27,14 @@ math, and the loop owns the keys, the chunking, the compaction of
 stopped runs and the bookkeeping.
 Its chunks double from one step, so a run stopping at step T has noise
 drawn through step 2T - 1 at most.  Loops over a fixed set of runs
-(recurrence profiles, projected trajectories) take full-budget chunks
-from _noise_chunks.  Walks carry their sum across chunks (_walk_from),
-so no sample depends on chunk lengths or on which runs share a call.
+(recurrence profiles, projected trajectories) take full-budget chunks.
+The hitting loop and the recurrence profile draw and advance a chunk
+one tile of runs at a time (_advance_tiles), a tile holding about
+_TILE_ELEMS stream units, so a walk holds one tile of draws, not one
+chunk; the recursions that step one at a time (stretched walk,
+projected T_D) take each chunk as one tile.  Walks carry their sum
+across chunks (_walk_from), so no sample depends on chunk lengths, on
+tile sizes or on which runs share a call.
 """
 
 from __future__ import annotations
@@ -43,11 +48,15 @@ from .model import sq_norm_last
 from .noise import NoiseSpec, noise_block, uniforms_per_draw, validate_noise_spec
 from .prng import run_keys
 
-# Stream units (uniforms, or bits for sign noise) in one pre-generated
-# noise chunk for every chunked loop: the engine, the walks and the
-# projected recursion.  2M units bound a chunk's transient memory to
-# 16 MB of uniforms, or of sign draws beside their 2 MB of bits.
+# Stream units (uniforms, or bits for sign noise) in one noise chunk of
+# every chunked loop: the engine, the walks and the projected recursion.
+# 2M units bound the engine's chunk to 16 MB of uniforms, or of sign
+# draws beside their 2 MB of bits; the walks draw a chunk by tiles.
 _CHUNK_ELEMS = 2_000_000
+
+# Stream units in one tile of a walk chunk: 512 KB of uniforms, so a
+# tile's draws and the walk's passes over them stay in a 2 MB L2 cache.
+_TILE_ELEMS = 1 << 16
 
 # d=1 steps of exactly +-1: the axis-sign family scales by delta/sqrt(d) = 1.
 SIMPLE_STEP = NoiseSpec(family="rademacher_axes", delta=1.0)
@@ -228,6 +237,33 @@ def _steps_block(step: NoiseSpec, keys, t0: int, nsteps: int, n: int, d: int):
     return noise_block(step, keys, ts, n, d)
 
 
+def _tile_runs(nsteps: int, n: int, w: int) -> int:
+    """Runs in one tile of a chunk of nsteps steps: about _TILE_ELEMS units."""
+    return max(1, _TILE_ELEMS // (nsteps * n * w))
+
+
+def _advance_tiles(noise: NoiseSpec, keys, t0, nsteps, n, d, state, advance, per: int):
+    """advance(state, xi, t0) over one chunk, drawn per tile of per runs.
+
+    Each tile of consecutive runs gets the noise xi of steps
+    t0+1..t0+nsteps, shape (tile, nsteps, n, d), and the rows of state
+    for those runs.  Every output of advance has one row per run; the
+    rows of all tiles are joined into new arrays, so no tile's draws
+    outlive its advance.
+    """
+    runs = keys.shape[0]
+    joined = None
+    for lo in range(0, runs, per):
+        xi = _steps_block(noise, keys[lo : lo + per], t0, nsteps, n, d)
+        parts = advance(state[lo : lo + per], xi, t0)
+        if joined is None:
+            joined = [np.empty((runs,) + p.shape[1:], p.dtype) for p in parts]
+        for out, part in zip(joined, parts):
+            out[lo : lo + per] = part
+        del xi, parts
+    return joined
+
+
 def _noise_chunks(spec: NoiseSpec, keys, t0: int, t1: int, n: int, dim: int):
     """Noise of steps t0+1..t1 for every key, in chunks sized by _chunk_steps.
 
@@ -291,15 +327,20 @@ def _step_each(state, xi, t0, step, stops):
     return stop, state
 
 
-def _censored_hitting(noise, n, dim, start, advance, end_stat, base_seed, run_indices, horizon):
+def _censored_hitting(
+    noise, n, dim, start, advance, end_stat, base_seed, run_indices, horizon, tiled=True
+):
     """Hitting samples of runs that all start from the state start.
 
     Runs advance in chunks of steps: one step first, then each chunk at
     most one step longer than all before it together (1, 2, 4, 8, ...),
     until the noise budget of _chunk_steps caps it.  A run that stops
     at step T is drawn through step 2T - 1 at most.  advance must not
-    depend on the chunk boundaries: a walk carries its sum with
-    _walk_from, a recursion steps with _step_each.
+    depend on the chunk boundaries or on which runs share a call: a
+    walk carries its sum with _walk_from, a recursion steps with
+    _step_each.  A chunk is drawn and advanced by tiles of _tile_runs
+    runs; untiled, as one tile, for a recursion, whose per-step Python
+    loop each tile would repeat.
 
     advance(state, xi, t0) receives the states of the runs still going
     and their noise xi, shape (A, B, n, dim), for steps t0+1..t0+B.  Per
@@ -324,16 +365,16 @@ def _censored_hitting(noise, n, dim, start, advance, end_stat, base_seed, run_in
     t0 = 0
     while alive.size and t0 < horizon:
         nsteps = min(t0 + 1, _chunk_steps(alive.size, n, w, horizon - t0))
-        xi = _steps_block(noise, keys[alive], t0, nsteps, n, dim)
-        stop, got, value, state = advance(state, xi, t0)
+        per = _tile_runs(nsteps, n, w) if tiled else alive.size
+        stop, got, value, state = _advance_tiles(
+            noise, keys[alive], t0, nsteps, n, dim, state, advance, per
+        )
         stopped = stop >= 0
         hit[alive[got]] = True
         t_hit[alive[got]] = t0 + stop[got] + 1
         end_value[alive[stopped]] = np.where(got, value, np.inf)[stopped]
         alive = alive[~stopped]
-        # A copy, so this chunk's draws are freed before the next are drawn.
         state = state[~stopped]
-        del xi
         t0 += nsteps
     if alive.size:
         end_value[alive] = end_stat(state)
@@ -411,7 +452,7 @@ def stretched_first_passage(
         return stop, (stop >= 0) & (s <= 0.0), s, s
 
     return _censored_hitting(
-        spec.step, 1, 1, 0.0, advance, lambda s: s, base_seed, run_indices, horizon
+        spec.step, 1, 1, 0.0, advance, lambda s: s, base_seed, run_indices, horizon, tiled=False
     )
 
 
@@ -454,7 +495,14 @@ def recurrence_profile(
     runs = run_indices.shape[0]
     keys = run_keys(base_seed, run_indices)
     d = spec.dim
+    w = uniforms_per_draw(spec.step.family, d)
     r2 = ball_radius * ball_radius
+
+    def advance(u, xi, t0):
+        path = _walk_from(u, xi[:, :, 0, :])
+        # A copy: the norms overwrite the path.
+        u_end = path[:, -1, :].copy()
+        return u_end, (_sq_norm_into(path) <= r2).sum(axis=1)
 
     u = np.broadcast_to(spec.start_point(), (runs, d)).copy()
     counts = np.zeros(runs, dtype=np.int64)
@@ -464,13 +512,13 @@ def recurrence_profile(
 
     t0 = 0
     for hk, h in enumerate(horizons):
-        for _, xi in _noise_chunks(spec.step, keys, t0, int(h), 1, d):
-            path = _walk_from(u, xi[:, :, 0, :])
-            # A copy, so this chunk's draws are freed before the next are drawn.
-            u = path[:, -1, :].copy()
-            counts += (_sq_norm_into(path) <= r2).sum(axis=1)
-            del xi, path
-        t0 = int(h)
+        while t0 < h:
+            nsteps = _chunk_steps(runs, 1, w, int(h) - t0)
+            u, inside = _advance_tiles(
+                spec.step, keys, t0, nsteps, 1, d, u, advance, _tile_runs(nsteps, 1, w)
+            )
+            counts += inside
+            t0 += nsteps
         visits[:, hk] = counts
         end_norm[hk] = (
             float(np.mean(np.sqrt(sq_norm_last(u)))) / np.sqrt(h) if h > 0 else np.nan

@@ -184,6 +184,46 @@ def test_bad_values_give_key_tagged_problems(tmp_path, capsys, data, problem):
     assert f"  - {problem}" in capsys.readouterr().err
 
 
+def test_bad_value_draws_no_model_problem():
+    # A bad value's reader reports it under its key and hands on a
+    # placeholder default; the model checks that read that key are
+    # skipped, so the default draws no problem of its own.  Checks of
+    # other keys still run: a large delta needs a wider separation.
+    base = config_to_dict(preset("thm2a_d2"))
+    two_cluster = base["initial"]
+    explicit = {"kind": "explicit", "values": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, "a"]]}
+    cases = [
+        (
+            {"initial": {**two_cluster, "sizes": [2.7, "2"]}},
+            [
+                "initial.sizes: expected an integer, got 2.7",
+                "initial.sizes: expected a number, got '2'",
+            ],
+        ),
+        ({"initial": explicit}, ["initial.values: expected a number, got 'a'"]),
+        (
+            {"initial": {**two_cluster, "sizes": [1, 1, 2]}},
+            ["initial.sizes: expected exactly two sizes, got 3"],
+        ),
+        (
+            {"initial": {**two_cluster, "separation_eps": "far"}},
+            ["initial.separation_eps: expected a number, got 'far'"],
+        ),
+        (
+            {"allow_large_delta": "yes", "noise": {"family": "uniform_cube", "delta": 0.4}},
+            [
+                "allow_large_delta: expected true/false, got 'yes'",
+                "two_cluster separation 1.5 must exceed sqrt(2)*epsilon + 2*delta"
+                " = 1.5071067811865477",
+            ],
+        ),
+    ]
+    for keys, problems in cases:
+        with pytest.raises(ConfigError) as err:
+            config_from_dict({**base, **keys})
+        assert err.value.problems == problems
+
+
 def test_config_error_report_format():
     err = ConfigError("2 problems in cfg", problems=["a: bad", "b: worse"])
     assert err.report() == "2 problems in cfg\n  - a: bad\n  - b: worse"

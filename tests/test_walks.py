@@ -203,24 +203,31 @@ def test_group_extremes_equal_strided_reductions():
 
 
 def test_hitting_driver_holds_one_noise_chunk_at_a_time(monkeypatch):
-    # The censored-hitting driver frees each chunk's draws before it draws
-    # the next: a gap walk of many chunks peaks below two chunks of
-    # uniforms (one chunk, the ball transform's scratch and the group
-    # means).
-    monkeypatch.setattr(walks, "_CHUNK_ELEMS", 200_000)
-    spec = ClusterWalkSpec(n1=2, n2=2, noise=NoiseSpec("uniform_ball", 0.25), dim=3)
-
-    def walk():
-        return cluster_gap_walk(spec, [3.0, 0.0, 0.0], 3, np.arange(100), 20_000, radius=0.5)
-
-    walk()
-    tracemalloc.start()
-    try:
+    # The censored-hitting driver draws and advances a chunk one tile of
+    # runs at a time and frees each tile's draws before it draws the next:
+    # a gap walk of many chunks peaks below three tiles of uniforms (one
+    # tile, the ball transform's scratch and the group means), far below
+    # one chunk (16 MB at the default budget).
+    ball = ClusterWalkSpec(n1=2, n2=2, noise=NoiseSpec("uniform_ball", 0.25), dim=3)
+    cube = ClusterWalkSpec(n1=5, n2=5, noise=NoiseSpec("uniform_cube", 0.25), dim=1)
+    walks_by_budget = {
+        200_000: lambda: cluster_gap_walk(
+            ball, [3.0, 0.0, 0.0], 3, np.arange(100), 20_000, radius=0.5
+        ),
+        walks._CHUNK_ELEMS: lambda: cluster_gap_walk(
+            cube, [2.5], 3, np.arange(200), 10_000, threshold=0.5
+        ),
+    }
+    for budget, walk in walks_by_budget.items():
+        monkeypatch.setattr(walks, "_CHUNK_ELEMS", budget)
         walk()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * 200_000 * 8
+        tracemalloc.start()
+        try:
+            walk()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * walks._TILE_ELEMS * 8 < budget * 8, budget
 
 
 def _bytes_held_at_each_draw(monkeypatch, call):
@@ -375,14 +382,50 @@ def test_oracles_invariant_to_chunk_boundaries(monkeypatch):
     for name in hitting:
         hits = [hit for _, hit, _, _ in whole[name]]
         assert any(hits) and not all(hits), name
-    # One-step chunks, then chunks of a few steps that split every sum.
+    # One-step chunks, then chunks of a few steps that split every sum;
+    # each drawn by tiles of one run, and as one tile.
     for budget in (5, 2000):
         monkeypatch.setattr(walks, "_CHUNK_ELEMS", budget)
-        assert {name: call(idx) for name, call in calls.items()} == whole, budget
+        for tile in (1, 10**9):
+            monkeypatch.setattr(walks, "_TILE_ELEMS", tile)
+            assert {name: call(idx) for name, call in calls.items()} == whole, (budget, tile)
     # Under the last budget a lone run's chunks are 64 times longer.
     for name, call in calls.items():
         solo = [row for k in range(idx.size) for row in call(idx[k : k + 1])]
         assert solo == whole[name], name
+
+
+def test_recursions_draw_each_chunk_in_one_call(monkeypatch):
+    # The stretched and projected recursions step one at a time, so they
+    # take a chunk as one tile: each call draws the chunk after the one
+    # before, for every run still going, though chunks outgrow a tile.  A
+    # walk draws its chunks by tiles, in more calls.
+    monkeypatch.setattr(walks, "_TILE_ELEMS", 64)
+    calls = []
+    steps_block = walks._steps_block
+
+    def counting(step, keys, t0, nsteps, n, d):
+        calls.append((t0, nsteps, keys.shape[0]))
+        return steps_block(step, keys, t0, nsteps, n, d)
+
+    monkeypatch.setattr(walks, "_steps_block", counting)
+    idx = np.arange(200)
+    proj = ProjectedSystemSpec(
+        dim=2, r=4.0, r0=0.1, map=MapSpec("identity"), noise=NoiseSpec("uniform_ball", 1.0)
+    )
+    stretched = StretchedWalkSpec(beta=1.0, bound_m=1.0)
+    for call in (
+        lambda: stretched_first_passage(stretched, 7, idx, 5000),
+        lambda: hitting_time_td(proj, 7, idx, 5000),
+    ):
+        calls.clear()
+        call()
+        chunk_ends = [t0 + nsteps for t0, nsteps, _ in calls]
+        assert [t0 for t0, _, _ in calls] == [0] + chunk_ends[:-1]
+        assert max(nsteps * runs for _, nsteps, runs in calls) > walks._TILE_ELEMS
+    calls.clear()
+    first_passage_below(WalkSpec(dim=1), -1e9, 7, idx, 5000)
+    assert len(calls) > len({t0 for t0, _, _ in calls})
 
 
 def test_hitting_draws_at_most_twice_the_steps_used(monkeypatch):
