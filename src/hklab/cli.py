@@ -36,7 +36,7 @@ from .ensemble import (
     run_ensemble,
     summarize,
 )
-from .enumeration import MAX_OUTCOME_BITS, EnumerationTooLarge, exact_stopping_law, outcome_bits
+from .enumeration import EnumerationTooLarge, exact_stopping_law, outcome_bits
 from .output import write_samples, write_summary, write_survival
 from .presets import PRESET_NAMES, preset, preset_variants
 from .projected import hitting_time_td
@@ -246,15 +246,8 @@ def _cmd_enumerate(args) -> int:
             problems=["noise.family: exhaustive enumeration requires rademacher_axes"],
         )
     horizon = cfg.ensemble.horizon
-    bits = outcome_bits(model.n, model.d, horizon)
-    if bits > MAX_OUTCOME_BITS:
-        print(
-            f"refusing exhaustive enumeration: 2^(n*d*horizon) = 2^{bits} outcomes "
-            f"exceeds 2^{MAX_OUTCOME_BITS}",
-            file=sys.stderr,
-        )
-        return EXIT_RESOURCE
     pmf, censored = exact_stopping_law(model, horizon)
+    bits = outcome_bits(model.n, model.d, horizon)
     print(f"exact law of min(T, {horizon}) over 2^{bits} outcomes:")
     for t in sorted(pmf):
         frac = pmf[t]

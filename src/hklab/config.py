@@ -27,7 +27,7 @@ import yaml
 from .model import InitialCondition, ModelConfig, validate_model_config
 from .noise import NoiseSpec
 from .projected import MapSpec, ProjectedSystemSpec, validate_projected_spec
-from .walks import SIMPLE_STEP, StretchedWalkSpec, WalkSpec, validate_walk_spec
+from .walks import SIMPLE_STEP, StretchedWalkSpec, WalkSpec, validate_walk_run
 
 SCENARIOS = ("hk", "projected", "walk")
 
@@ -184,28 +184,30 @@ class _Section:
 
 
 def _read_noise(
-    sec: _Section, problems: list[str], top_delta, default: NoiseSpec | None = None
+    root: _Section, problems: list[str], default: NoiseSpec | None = None
 ) -> NoiseSpec | None:
-    """Noise from a nested section, honoring the top-level delta shorthand.
+    """Noise from root's noise section.
 
-    default gives the family and delta of keys left out (a walk step);
-    without it the family is DEFAULT_NOISE_FAMILY and delta is required.
+    default gives the family and delta of keys left out (a walk step).
+    Without it the family is DEFAULT_NOISE_FAMILY and delta is required,
+    in the section or as the top-level delta shorthand; a delta reported
+    bad is not reported missing too.
     """
+    shorthand = default is None and "delta" in root.data
+    top_delta = root.number("delta") if shorthand else None
     family = default.family if default else DEFAULT_NOISE_FAMILY
-    delta = None
+    delta = default.delta if default else top_delta
+    sec = root.section("noise")
     if sec is not None:
         family = sec.text("family", family)
-        delta = sec.number("delta")
+        delta = sec.number("delta", delta)
         sec.reject_unknown()
-        if delta is not None and top_delta is not None:
+        if shorthand and "delta" in sec.data:
             problems.append("delta and noise.delta both set; keep exactly one")
             return None
-    if delta is None:
-        delta = top_delta if default is None else default.delta
-    if delta is None:
+    if delta is None and not root.bad & {"delta", "noise", "noise.delta"}:
         problems.append("noise.delta: required key is missing")
-        return None
-    return NoiseSpec(family=family, delta=delta)
+    return None if delta is None else NoiseSpec(family=family, delta=delta)
 
 
 def _read_initial(sec: _Section | None) -> InitialCondition:
@@ -268,8 +270,7 @@ def _read_hk(root: _Section, problems: list[str]) -> ModelConfig | None:
     d = root.number("d", required=True, integer=True)
     epsilon = root.number("epsilon", required=True)
     space_mode = root.text("space_mode", required=True)
-    top_delta = root.number("delta")
-    noise = _read_noise(root.section("noise"), problems, top_delta)
+    noise = _read_noise(root, problems)
     initial = _read_initial(root.section("initial"))
     allow_large = root.flag("allow_large_delta")
     if None in (n, d, epsilon, space_mode) or noise is None:
@@ -307,8 +308,7 @@ def _read_projected(root: _Section, problems: list[str]) -> ProjectedSystemSpec 
     r = root.number("r", required=True)
     r0 = root.number("r0", required=True)
     mp = _read_map(root.section("map"), problems)
-    top_delta = root.number("delta")
-    noise = _read_noise(root.section("noise"), problems, top_delta)
+    noise = _read_noise(root, problems)
     start = root.numbers("start")
     if None in (dim, r, r0) or mp is None or noise is None:
         return None
@@ -320,11 +320,16 @@ def _read_projected(root: _Section, problems: list[str]) -> ProjectedSystemSpec 
 def _read_walk(root: _Section, problems: list[str]):
     kind = root.text("kind", "first_passage")
     if kind not in WALK_KINDS:
-        problems.append(f"kind: unknown walk kind {kind!r}; options are {WALK_KINDS}")
-        kind = "first_passage"
-    noise = _read_noise(root.section("noise"), problems, None, default=SIMPLE_STEP)
-    threshold = root.number("threshold", 0.0)
-    ball_radius = root.number("ball_radius", 1.0)
+        root.problem("kind", f"unknown walk kind {kind!r}; options are {WALK_KINDS}")
+    if "kind" in root.bad:
+        # Which keys the walk may take is unknown too, so none is checked.
+        root.seen.update(root.data)
+        return None, kind, 0.0, 1.0
+    noise = _read_noise(root, problems, default=SIMPLE_STEP)
+    # Each kind reads only its own parameter; on any other kind the key
+    # is unknown, as it would change nothing the fingerprint covers.
+    threshold = root.number("threshold", 0.0) if kind == "first_passage" else 0.0
+    ball_radius = root.number("ball_radius", 1.0) if kind == "recurrence" else 1.0
     spec = None
     if kind == "stretched":
         beta = root.number("beta", required=True)
@@ -337,11 +342,7 @@ def _read_walk(root: _Section, problems: list[str]):
         if dim is not None:
             spec = WalkSpec(dim=dim, step=noise, start=start)
     if spec is not None:
-        problems.extend(validate_walk_spec(spec))
-    if kind == "first_passage" and threshold > 0.0:
-        problems.append(f"threshold: first-passage level must be <= 0, got {threshold}")
-    if kind == "recurrence" and ball_radius <= 0.0:
-        problems.append(f"ball_radius: must be positive, got {ball_radius}")
+        problems.extend(validate_walk_run(kind, spec, threshold, ball_radius))
     return spec, kind, threshold, ball_radius
 
 

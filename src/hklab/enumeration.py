@@ -79,9 +79,10 @@ def exact_stopping_law(cfg: ModelConfig, horizon: int):
     """
     if cfg.noise.family != "rademacher_axes":
         raise ValueError("exact enumeration needs rademacher_axes noise")
-    if outcome_bits(cfg.n, cfg.d, horizon) > MAX_OUTCOME_BITS:
+    bits = outcome_bits(cfg.n, cfg.d, horizon)
+    if bits > MAX_OUTCOME_BITS:
         raise EnumerationTooLarge(
-            f"2^({cfg.n}*{cfg.d}*{horizon}) outcomes exceed the 2^{MAX_OUTCOME_BITS} budget"
+            f"2^(n*d*horizon) = 2^{bits} outcomes exceed the 2^{MAX_OUTCOME_BITS} budget"
         )
     n, d = cfg.n, cfg.d
     eps2 = cfg.epsilon * cfg.epsilon

@@ -274,8 +274,3 @@ def bits_at(keys, ts, count: int) -> np.ndarray:
     octets = words.astype("<u8", copy=False).view(np.uint8)
     bits = np.unpackbits(octets, axis=1, count=nbits, bitorder="little")
     return bits.reshape(nruns, nsteps, count)
-
-
-def uniforms_for_step(key: int, t: int, count: int) -> np.ndarray:
-    """Uniform block for a single (run key, step), shape (count,)."""
-    return uniforms_at(np.asarray([key], dtype=np.uint64), [t], count)[0, 0]

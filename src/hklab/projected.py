@@ -24,6 +24,9 @@ smallest a with dist(f(x), D) <= a*dist(x, D) for all x outside D:
   ambient point read as an n-by-d state.  Averaging empirically keeps
   the coefficient at 1; sampled_audit checks that claim rather than
   assuming it.
+
+hitting_time_td runs on the walks' censored-hitting driver; trajectory,
+a plain step loop over the same noise, is what the tests check it by.
 """
 
 from __future__ import annotations
@@ -33,9 +36,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import pairwise_sq_dists, runs_last_sums, sq_norm_last
-from .noise import NoiseSpec, validate_noise_spec
-from .prng import run_keys, uniforms_for_step
-from .walks import Samples, _censored_hitting, _noise_chunks, _require, _step_each
+from . import walks
+from .noise import NoiseSpec, noise_block, uniforms_per_draw, validate_noise_spec
+from .prng import run_keys
+from .walks import Samples, _censored_hitting, _chunk_steps, _require, _step_each
 
 MAP_FAMILIES = ("identity", "linear_scale", "target_stretch", "hk_mean")
 
@@ -228,18 +232,23 @@ def trajectory(
     run_index: int,
     horizon: int,
 ) -> np.ndarray:
-    """The path S(0..horizon), shape (horizon+1, dim); for diagnostics."""
+    """The path S(0..horizon), shape (horizon+1, dim), by a plain step loop."""
     _require(validate_projected_spec(spec))
     keys = run_keys(base_seed, np.asarray([run_index], dtype=np.int64))
+    w = uniforms_per_draw(spec.noise.family, spec.dim)
     out = np.empty((horizon + 1, spec.dim), dtype=np.float64)
     out[0] = spec.start_point()
     s = out[0][None, :].copy()
-    for t0, xi in _noise_chunks(spec.noise, keys, 0, horizon, 1, spec.dim):
-        for k in range(xi.shape[1]):
+    t0 = 0
+    while t0 < horizon:
+        nsteps = _chunk_steps(1, 1, w, horizon - t0)
+        xi = walks._steps_block(spec.noise, keys, t0, nsteps, 1, spec.dim)
+        for k in range(nsteps):
             s = projected_step(s, spec, xi[0, k])
             out[t0 + k + 1] = s[0]
         # Freed before the next chunk is drawn.
         del xi
+        t0 += nsteps
     return out
 
 
@@ -258,22 +267,17 @@ class AuditResult:
 
 
 def _annulus_points(dim: int, r_in: float, r_out: float, count: int, key) -> np.ndarray:
-    """Volume-uniform sample of the annulus r_in < ||x|| <= r_out."""
-    pairs = (dim + 1) // 2
-    pts = np.empty((count, dim), dtype=np.float64)
-    u = uniforms_for_step(key, 0, count * (2 * pairs + 1)).reshape(count, 2 * pairs + 1)
-    gauss = np.empty((count, 2 * pairs), dtype=np.float64)
-    u1 = np.clip(u[:, :pairs], np.finfo(np.float64).tiny, None)
-    rad = np.sqrt(-2.0 * np.log(u1))
-    ang = (2.0 * np.pi) * u[:, pairs : 2 * pairs]
-    gauss[:, 0::2] = rad * np.cos(ang)
-    gauss[:, 1::2] = rad * np.sin(ang)
-    vec = gauss[:, :dim]
-    norms = np.sqrt(sq_norm_last(vec))
-    norms[norms == 0.0] = 1.0
-    shell = (r_in**dim + u[:, -1] * (r_out**dim - r_in**dim)) ** (1.0 / dim)
-    pts[:] = vec / norms[:, None] * shell[:, None]
-    return pts
+    """Volume-uniform sample of the annulus r_in < ||x|| <= r_out.
+
+    A unit-ball draw has norm u^(1/dim), u uniform; it keeps its
+    direction and moves to the radius that encloses a share u of the
+    annulus' volume.
+    """
+    v = noise_block(NoiseSpec("uniform_ball", 1.0), [key], [1], count, dim)[0, 0]
+    norm = np.sqrt(sq_norm_last(v))
+    shell = (r_in**dim + norm**dim * (r_out**dim - r_in**dim)) ** (1.0 / dim)
+    norm[norm == 0.0] = 1.0
+    return v * (shell / norm)[:, None]
 
 
 def sampled_audit(

@@ -35,6 +35,9 @@ chunk; the recursions that step one at a time (stretched walk,
 projected T_D) take each chunk as one tile.  Walks carry their sum
 across chunks (_walk_from), so no sample depends on chunk lengths, on
 tile sizes or on which runs share a call.
+
+first_passage_below, recurrence_profile and the config loader all check
+validate_walk_run, so a walk config that loads is one that runs.
 """
 
 from __future__ import annotations
@@ -221,6 +224,20 @@ def validate_walk_spec(spec) -> list[str]:
     return out
 
 
+def validate_walk_run(kind: str, spec, threshold: float = 0.0, ball_radius: float = 1.0):
+    """validate_walk_spec's problems plus those of the kind's run: a first
+    passage needs dim 1 and threshold <= 0, a recurrence ball_radius >= 0."""
+    out = validate_walk_spec(spec)
+    if kind == "first_passage":
+        if spec.dim > 1:
+            out.append(f"dim is {spec.dim}; a first passage is defined for dim 1")
+        if threshold > 0.0:
+            out.append(f"threshold b must be <= 0 for a first passage, got {threshold}")
+    if kind == "recurrence" and ball_radius < 0.0:
+        out.append(f"ball_radius must be >= 0, got {ball_radius}")
+    return out
+
+
 def _require(problems: list[str]) -> None:
     """Raise one ValueError listing every problem, if there are any."""
     if problems:
@@ -262,19 +279,6 @@ def _advance_tiles(noise: NoiseSpec, keys, t0, nsteps, n, d, state, advance, per
             out[lo : lo + per] = part
         del xi, parts
     return joined
-
-
-def _noise_chunks(spec: NoiseSpec, keys, t0: int, t1: int, n: int, dim: int):
-    """Noise of steps t0+1..t1 for every key, in chunks sized by _chunk_steps.
-
-    Yields (t, xi): xi has shape (A, B, n, dim) and holds steps t+1..t+B.
-    """
-    w = uniforms_per_draw(spec.family, dim)
-    t = t0
-    while t < t1:
-        nsteps = _chunk_steps(keys.shape[0], n, w, t1 - t)
-        yield t, _steps_block(spec, keys, t, nsteps, n, dim)
-        t += nsteps
 
 
 def _walk_from(start, steps):
@@ -399,11 +403,7 @@ def first_passage_below(
     surely finite but has infinite mean; the survival tail decays like
     t^(-1/2), which is what the censored-mean diagnostics lean on.
     """
-    _require(validate_walk_spec(spec))
-    if spec.dim != 1:
-        raise ValueError("first_passage_below is defined for dim 1")
-    if b > 0.0:
-        raise ValueError("level b must be <= 0")
+    _require(validate_walk_run("first_passage", spec, threshold=b))
 
     def advance(u, xi, t0):
         path = _walk_from(u, xi[:, :, 0, 0])
@@ -485,9 +485,7 @@ def recurrence_profile(
     base_seed: int,
     run_indices,
 ) -> RecurrenceProfile:
-    _require(validate_walk_spec(spec))
-    if ball_radius < 0.0:
-        raise ValueError("ball_radius must be nonnegative")
+    _require(validate_walk_run("recurrence", spec, ball_radius=ball_radius))
     horizons = np.asarray(sorted(set(int(h) for h in horizons)), dtype=np.int64)
     if horizons.size == 0 or horizons[0] < 0:
         raise ValueError("need nonnegative horizons")

@@ -188,9 +188,11 @@ def test_bad_value_draws_no_model_problem():
     # A bad value's reader reports it under its key and hands on a
     # placeholder default; the model checks that read that key are
     # skipped, so the default draws no problem of its own.  Checks of
-    # other keys still run: a large delta needs a wider separation.
+    # other keys still run: a large delta needs a wider separation.  A
+    # bad delta is not reported missing too; only an absent one is.
     base = config_to_dict(preset("thm2a_d2"))
     two_cluster = base["initial"]
+    family = {"family": base["noise"]["family"]}
     explicit = {"kind": "explicit", "values": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, "a"]]}
     cases = [
         (
@@ -217,6 +219,9 @@ def test_bad_value_draws_no_model_problem():
                 " = 1.5071067811865477",
             ],
         ),
+        ({"delta": "x", "noise": family}, ["delta: expected a number, got 'x'"]),
+        ({"noise": {**family, "delta": "x"}}, ["noise.delta: expected a number, got 'x'"]),
+        ({"noise": family}, ["noise.delta: required key is missing"]),
     ]
     for keys, problems in cases:
         with pytest.raises(ConfigError) as err:
@@ -626,3 +631,134 @@ def test_cli_enumerate_needs_sign_noise(tmp_path, capsys):
     path = _write_cfg(tmp_path, _tiny_run_cfg())
     assert main(["enumerate", path]) == EXIT_VALIDATION
     assert "rademacher_axes" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# validate accepts exactly what run runs
+# ---------------------------------------------------------------------------
+
+
+def _emitted(capsys, name, variant=""):
+    """The config `hklab preset --emit-config` prints, as a mapping."""
+    args = ["preset", name, "--emit-config"] + (["--variant", variant] if variant else [])
+    assert main(args) == EXIT_OK
+    return yaml.safe_load(capsys.readouterr().out)
+
+
+def _validate_and_run(tmp_path, capsys, data):
+    """Exit codes of `hklab validate` and `hklab run` on data at 2 runs to
+    horizon 5, and the problems validate reports."""
+    data = {**data, "ensemble": {**data["ensemble"], "runs": 2, "horizon": 5}}
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(data))
+    validated = main(["validate", str(path)])
+    problems = capsys.readouterr().err
+    ran = main(["run", str(path), "--out", str(tmp_path / "out")])
+    capsys.readouterr()
+    return validated, ran, problems
+
+
+@pytest.mark.parametrize(
+    "name, variant", [(name, v) for name in PRESET_NAMES for v in preset_variants(name)]
+)
+def test_every_preset_validates_and_runs(tmp_path, capsys, name, variant):
+    validated, ran, _ = _validate_and_run(tmp_path, capsys, _emitted(capsys, name, variant))
+    assert (validated, ran) == (EXIT_OK, EXIT_OK)
+
+
+_STRETCHED = {
+    "scenario": "walk",
+    "kind": "stretched",
+    "beta": 1.5,
+    "bound_m": 2.0,
+    "ensemble": {"base_seed": 0},
+}
+
+
+def _walk(kind, **keys):
+    """A walk config of kind, from its preset or _STRETCHED, with keys replaced."""
+    if kind == "stretched":
+        return {**_STRETCHED, **keys}
+    name, variant = ("lemma2_walk", "") if kind == "first_passage" else ("lemma4_recurrence", "d1")
+    return {**config_to_dict(preset(name, variant or None)), **keys}
+
+
+@pytest.mark.parametrize(
+    "data, problem",
+    [
+        (_walk("first_passage", dim=0), "dim must be >= 1"),
+        (_walk("first_passage", dim=2), "dim is 2; a first passage is defined for dim 1"),
+        (_walk("first_passage", start=[0.0, 1.0]), "start has 2 coordinates, dim is 1"),
+        (
+            _walk("first_passage", threshold=0.5),
+            "threshold b must be <= 0 for a first passage, got 0.5",
+        ),
+        (
+            _walk("first_passage", noise={"delta": 0.0}),
+            "noise delta must be positive and finite, got 0.0",
+        ),
+        (_walk("first_passage", noise={"family": "gauss"}), "unknown noise family: 'gauss'"),
+        (_walk("first_passage", ball_radius=1.0), "ball_radius: unknown key"),
+        (_walk("stretched", beta=0.0), "beta must be positive (sign-preserving stretch)"),
+        (_walk("stretched", bound_m=-1.0), "bound_m must be positive"),
+        (
+            _walk("stretched", noise={"delta": -1.0}),
+            "noise delta must be positive and finite, got -1.0",
+        ),
+        (_walk("stretched", dim=1), "dim: unknown key"),
+        (_walk("stretched", threshold=0.0), "threshold: unknown key"),
+        (_walk("stretched", ball_radius=1.0), "ball_radius: unknown key"),
+        (_walk("recurrence", dim=0), "dim must be >= 1"),
+        (_walk("recurrence", start=[1.0, 2.0]), "start has 2 coordinates, dim is 1"),
+        (_walk("recurrence", ball_radius=-0.5), "ball_radius must be >= 0, got -0.5"),
+        (_walk("recurrence", noise={"family": "gauss"}), "unknown noise family: 'gauss'"),
+        (_walk("recurrence", threshold=-1.0), "threshold: unknown key"),
+        (
+            {**_walk("recurrence", dim=3), "kind": "recur"},
+            "kind: unknown walk kind 'recur'; options are"
+            " ('first_passage', 'stretched', 'recurrence')",
+        ),
+        ({**_walk("recurrence", dim=3), "kind": 5}, "kind: expected a string, got 5"),
+    ],
+    ids=[
+        "first_passage-dim0",
+        "first_passage-dim2",
+        "first_passage-start",
+        "first_passage-threshold",
+        "first_passage-delta",
+        "first_passage-family",
+        "first_passage-ball_radius",
+        "stretched-beta",
+        "stretched-bound_m",
+        "stretched-delta",
+        "stretched-dim",
+        "stretched-threshold",
+        "stretched-ball_radius",
+        "recurrence-dim0",
+        "recurrence-start",
+        "recurrence-ball_radius",
+        "recurrence-family",
+        "recurrence-threshold",
+        "unknown-kind",
+        "bad-kind",
+    ],
+)
+def test_validate_and_run_refuse_each_broken_walk_rule(tmp_path, capsys, data, problem):
+    validated, ran, problems = _validate_and_run(tmp_path, capsys, data)
+    assert (validated, ran) == (EXIT_VALIDATION, EXIT_VALIDATION)
+    # The one broken rule is the one problem reported.
+    assert problems.splitlines()[1:] == [f"  - {problem}"]
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        _walk("first_passage", threshold=-1.0),
+        _walk("recurrence", ball_radius=0.0),
+        _STRETCHED,
+    ],
+    ids=["first_passage-below_zero", "recurrence-zero_radius", "stretched"],
+)
+def test_validate_and_run_accept_each_walk_at_its_rules_edge(tmp_path, capsys, data):
+    validated, ran, _ = _validate_and_run(tmp_path, capsys, data)
+    assert (validated, ran) == (EXIT_OK, EXIT_OK)

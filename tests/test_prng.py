@@ -20,7 +20,6 @@ from hklab.prng import (
     run_keys,
     splitmix64,
     uniforms_at,
-    uniforms_for_step,
 )
 
 # Known answers, frozen.  See module docstring.
@@ -108,13 +107,6 @@ def test_count_prefix_consistency():
     stream = uniforms_at(keys, [0], 8)[0, 0]
     np.testing.assert_array_equal(u3[0, 1], stream[3:6])
     np.testing.assert_array_equal(u4[0, 1], stream[4:8])
-
-
-def test_uniforms_for_step_matches_block():
-    keys = run_keys(0, [4])
-    block = uniforms_at(keys, [6, 7], 5)
-    single = uniforms_for_step(keys[0], 7, 5)
-    np.testing.assert_array_equal(single, block[0, 1])
 
 
 def test_nonconsecutive_steps_rejected():
