@@ -240,11 +240,6 @@ def _cmd_enumerate(args) -> int:
             "enumeration needs an hk scenario", problems=["scenario: must be hk"]
         )
     model = cfg.model
-    if model.noise.family != "rademacher_axes":
-        raise ConfigError(
-            "enumeration needs sign noise",
-            problems=["noise.family: exhaustive enumeration requires rademacher_axes"],
-        )
     horizon = cfg.ensemble.horizon
     pmf, censored = exact_stopping_law(model, horizon)
     bits = outcome_bits(model.n, model.d, horizon)

@@ -16,10 +16,14 @@ two kernels: _Lockstep (n <= _LOCKSTEP_MAX_N) holds all live runs in one
 runs-last (n, d, A) tensor, with (n, n, A) buffers of n^2 A doubles;
 _Indexed steps each run alone, one draw at a time, through a
 NeighborIndex built each step.  Both add each agent's neighbors in
-ascending agent order, so they take the same steps bit for bit.  Every
-noise draw is a pure function of (base_seed, run_index, t, agent) and
-every per-run reduction has a fixed order, so a run's trajectory is
-bit-identical no matter which other runs share the batch.
+ascending agent order, so they take the same steps bit for bit.  A
+lockstep chunk holds about _chunk_budget() stream units (2 MB of
+doubles), and at least _RUN_CHUNK_UNITS a run, so a chunk's draws and
+a segment's buffers stay near the cache, and a stopped run is dropped
+at the end of a short chunk.  Every noise draw is a pure function of
+(base_seed, run_index, t, agent) and every per-run reduction has a
+fixed order, so a run's trajectory is bit-identical no matter which
+other runs share the batch or how its steps are chunked.
 
 Each pass of the loop takes one dense step or, once every running run
 of a lockstep batch is synchronized, a segment of one or more steps:
@@ -52,10 +56,36 @@ _LOCKSTEP_MAX_N = 128
 # Lockstep steps per chunk stay below this even when few runs remain.
 _CHUNK_STEPS = 4096
 
-# The buffers of one lockstep segment hold at most this share of the
-# noise chunk budget, walks._CHUNK_ELEMS (2 MB of its 16 MB by default).
+# A lockstep chunk, and the buffers of one segment, hold about this share
+# of walks._CHUNK_ELEMS stream units (2 MB of its 16 MB by default).
 # Larger segments left the cache and ran slower on the thm1_bounded shapes.
 _SEGMENT_SHARE = 8
+
+# Stream units each run draws per chunk at least, however wide the batch:
+# each chunk rekeys every run's Philox stream (prng._each_run, 2-3 us a
+# run), which these units amortize; 8 KB of doubles a run keeps a batch
+# of 500 runs within 4 MB.  Chunks never exceed walks._CHUNK_ELEMS units.
+_RUN_CHUNK_UNITS = 1000
+
+
+def _chunk_budget() -> int:
+    """Stream units of a lockstep chunk, and doubles of a segment's buffers."""
+    return walks._CHUNK_ELEMS // _SEGMENT_SHARE
+
+
+def batch_width(cfg: ModelConfig, span: int) -> int:
+    """Runs per run_batch call of an ensemble whose runs step at most span steps.
+
+    A lockstep batch holds n^2 doubles a run, so at most
+    walks._CHUNK_ELEMS // n^2 runs.  When span steps draw at most
+    _RUN_CHUNK_UNITS units a run, the whole batch is one chunk, so its
+    runs are also cut to fit that chunk to _chunk_budget() units.
+    """
+    width = max(1, walks._CHUNK_ELEMS // cfg.n**2)
+    units = span * cfg.n * uniforms_per_draw(cfg.noise.family, cfg.d)
+    if units <= _RUN_CHUNK_UNITS:
+        width = min(width, max(1, _chunk_budget() // units))
+    return width
 
 
 @dataclass
@@ -112,12 +142,23 @@ class _Lockstep:
     """
 
     def __init__(self, cfg: ModelConfig, a: int):
-        n = cfg.n
+        n = self.n = cfg.n
+        self.w = uniforms_per_draw(cfg.noise.family, cfg.d)
         self.epsilon = cfg.epsilon
-        self.chunk_steps = _CHUNK_STEPS
         self.d2, self.prod, self.deg = np.empty((n, n, a)), np.empty((n, n, a)), np.empty((n, a))
         self.seg = None
         self.stale = False
+
+    def chunk_steps(self, runs: int, remaining: int) -> int:
+        """Steps of the next noise chunk of runs.
+
+        About _chunk_budget() stream units, but at least _RUN_CHUNK_UNITS
+        a run; never more than _CHUNK_STEPS, the steps remaining or
+        walks._CHUNK_ELEMS units (walks._chunk_steps).
+        """
+        unit = self.n * self.w
+        short = max(1, _RUN_CHUNK_UNITS // unit, _chunk_budget() // (runs * unit))
+        return min(_CHUNK_STEPS, short, _chunk_steps(runs, self.n, self.w, remaining))
 
     def compact(self, keep) -> None:
         self.d2 = np.compress(keep, self.d2, axis=2)
@@ -134,13 +175,12 @@ class _Lockstep:
         that needs a contiguous inner axis of length > 1.  Over a lone
         contiguous axis (d = 1, one run) it would add pairwise.  A
         segment's buffers, its states and two (n - 1, A) distance
-        buffers per step, hold at most walks._CHUNK_ELEMS //
-        _SEGMENT_SHARE doubles.
+        buffers per step, hold at most _chunk_budget() doubles.
         """
         n, d, a = states.shape
         if d * a == 1 or not states.flags.c_contiguous:
             return 0
-        return max(1, walks._CHUNK_ELEMS // _SEGMENT_SHARE // (a * (n * d + 2 * (n - 1))))
+        return max(1, _chunk_budget() // (a * (n * d + 2 * (n - 1))))
 
     def segment(self, states, noise, running, bounded: bool):
         """States and d_V^2 of the steps of noise from a synchronized batch.
@@ -210,11 +250,12 @@ class _Indexed:
     buffer, so compaction has nothing to drop.
     """
 
-    chunk_steps = 1
-
     def __init__(self, cfg: ModelConfig, a: int):
         self.epsilon = cfg.epsilon
         self.eps2 = cfg.epsilon * cfg.epsilon
+
+    def chunk_steps(self, runs: int, remaining: int) -> int:
+        return 1
 
     def compact(self, keep) -> None:
         pass
@@ -265,8 +306,10 @@ def run_batch(
     need be) and absorb_ok[k] reports whether d_V stayed <= epsilon
     throughout run k's continuation window.  All A runs form one batch,
     whose lockstep buffers hold n^2 A doubles each, so callers bound A
-    (run_ensemble does).  Each pass of the step loop takes a dense step
-    or a synchronized segment, then applies status changes in one block.
+    (run_ensemble does, by batch_width).  Its noise is drawn in chunks
+    of _Lockstep.chunk_steps steps, after each of which stopped runs are
+    dropped.  Each pass of the step loop takes a dense step or a
+    synchronized segment, then applies status changes in one block.
     snapshot_stride records a single run.
     """
     if horizon < 1:
@@ -307,7 +350,6 @@ def run_batch(
     if recorder:
         recorder.observe(np.zeros(1, dtype=np.int64), states[None], deadline[0])
 
-    w = uniforms_per_draw(cfg.noise.family, d)
     t = 0
     while True:
         keep = deadline > t
@@ -321,7 +363,7 @@ def run_batch(
             synced = synced[keep]
             kernel.compact(keep)
             new = np.empty(states.shape)
-        b = min(kernel.chunk_steps, _chunk_steps(live.shape[0], n, w, int(deadline.max()) - t))
+        b = kernel.chunk_steps(live.shape[0], int(deadline.max()) - t)
         ts = np.arange(t + 1, t + b + 1, dtype=np.int64)
         # (B, n, d, A) view of the (A, B, n, d) draws; no copy is made.
         xi = noise_block(cfg.noise, keys, ts, n, d).transpose(1, 2, 3, 0)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import walks
-from .engine import BatchResult, run_batch
+from .engine import BatchResult, batch_width, run_batch
 from .model import ModelConfig
 
 _GRID_FACTOR = 1.2
@@ -300,16 +300,18 @@ def run_ensemble(
     """M independent runs, distributable over worker processes.
 
     The runs are split into max(workers, ceil(runs / width)) chunks of
-    at most width = max(1, walks._CHUNK_ELEMS // n^2) runs, each one
-    run_batch call.  The per-run noise streams are counter-based, so
-    the samples are bit-identical for every worker count and chunking.
+    at most width = engine.batch_width(cfg, horizon + extra_after_hit)
+    runs, each one run_batch call: max(1, walks._CHUNK_ELEMS // n^2),
+    and fewer when the whole span is one noise chunk.  The per-run
+    noise streams are counter-based, so the samples are bit-identical
+    for every worker count and chunking.
     When a chunk raises, EnsembleError names its runs and carries the
     chunks that completed as ``partial`` (None when none did).
     """
     if runs < 1:
         raise ValueError("need at least one run")
     indices = np.arange(runs, dtype=np.int64)
-    width = max(1, walks._CHUNK_ELEMS // cfg.n**2)
+    width = batch_width(cfg, horizon + extra_after_hit)
     parts = max(1, workers, math.ceil(runs / width))
     chunks = [c for c in np.array_split(indices, parts) if c.size]
     jobs = [(cfg, base_seed, c, horizon, extra_after_hit) for c in chunks]

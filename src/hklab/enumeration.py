@@ -15,6 +15,7 @@ import itertools
 import math
 from fractions import Fraction
 
+from .config import ConfigError
 from .model import ModelConfig
 
 # Enumerating more than 2^24 leaf outcomes is refused.
@@ -74,11 +75,14 @@ def exact_stopping_law(cfg: ModelConfig, horizon: int):
 
     Returns (pmf, censored): pmf maps t -> Fraction P{T = t} for
     t = 0..horizon, censored is the Fraction P{T > horizon}.  Raises
-    EnumerationTooLarge past the 2^24 outcome budget and ValueError
-    for non-rademacher noise.
+    EnumerationTooLarge past the 2^24 outcome budget and ConfigError
+    (a validation error) for non-rademacher noise.
     """
     if cfg.noise.family != "rademacher_axes":
-        raise ValueError("exact enumeration needs rademacher_axes noise")
+        raise ConfigError(
+            "exact enumeration needs rademacher_axes noise",
+            problems=[f"noise.family: enumeration needs rademacher_axes, got {cfg.noise.family}"],
+        )
     bits = outcome_bits(cfg.n, cfg.d, horizon)
     if bits > MAX_OUTCOME_BITS:
         raise EnumerationTooLarge(

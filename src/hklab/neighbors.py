@@ -24,8 +24,9 @@ from .model import pairwise_sq_dists, runs_last_sums, sq_norm_last
 
 MODES = ("brute", "grid", "auto")
 
-# Row block for chunked all-pairs scans; bounds peak memory at ~O(block * n).
-_BRUTE_BLOCK_ELEMS = 4_000_000
+# Distances per row block of the exact d_V scan: the block and its scratch
+# hold 2^18 doubles, 2 MB, for up to 2^17 agents (one row a block beyond).
+_BRUTE_BLOCK_ELEMS = 1 << 17
 
 # Refuse explicit grid mode when the stencil itself is astronomically big.
 _MAX_STENCIL = 1 << 20
@@ -64,7 +65,9 @@ def max_sq_dist(states: np.ndarray) -> float:
     (i, j) and the terms are added in the same order, so ub_i is at
     least every computed distance of row i.  After one full row (the
     largest ub), only rows whose bound exceeds the best so far are
-    scanned, in row blocks; the result equals the full scan's maximum.
+    scanned, largest bound first, in row blocks that reuse one pair of
+    buffers; each block drops the rows the best so far has overtaken.
+    The result equals the full scan's maximum.
     """
     n = states.shape[0]
     lo = states.min(axis=0)
@@ -73,9 +76,17 @@ def max_sq_dist(states: np.ndarray) -> float:
     top = int(np.argmax(ub))
     best = float(pairwise_sq_dists(states[top : top + 1], states).max())
     rows = np.flatnonzero(ub > best)
-    block = max(1, _BRUTE_BLOCK_ELEMS // max(1, n))
+    rows = rows[np.argsort(-ub[rows], kind="stable")]
+    block = max(1, min(rows.size, _BRUTE_BLOCK_ELEMS // max(1, n)))
+    out, tmp = np.empty((2, block, n))
     for a in range(0, rows.size, block):
-        best = max(best, float(pairwise_sq_dists(states[rows[a : a + block]], states).max()))
+        part = rows[a : a + block]
+        part = part[ub[part] > best]
+        if not part.size:
+            break
+        m = part.size
+        pairwise_sq_dists(states[part], states, out=out[:m], tmp=tmp[:m])
+        best = max(best, float(out[:m].max()))
     return best
 
 

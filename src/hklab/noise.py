@@ -29,6 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# model imports this module first; its sq_norm_last is read at call time.
+from . import model
 from .prng import bits_at, uniforms_at
 
 FAMILIES = ("uniform_ball", "uniform_cube", "rademacher_axes")
@@ -121,14 +123,6 @@ def _even_odd_sq_norm(c: np.ndarray) -> np.ndarray:
     return total
 
 
-def _ascending_sq_norm(c: np.ndarray) -> np.ndarray:
-    """Squared norms of planar vectors c (d, m), added in coordinate order."""
-    total = np.square(c[0])
-    for row in c[1:]:
-        total += np.square(row)
-    return total
-
-
 def _ball_planar(up: np.ndarray, d: int, delta: float) -> np.ndarray:
     """uniform_ball draws (d, m) from planar uniforms up (W, m), consumed.
 
@@ -171,8 +165,8 @@ def _ball_planar(up: np.ndarray, d: int, delta: float) -> np.ndarray:
     # ulp.  Such a draw is scaled by delta / ||v||, and if rounding leaves
     # it over again, by a margin that doubles from 2^-50 each round, so
     # ||v|| <= delta holds exactly.  Squares add in ascending coordinate
-    # order, except on the Box-Muller path.
-    sq_norm = _even_odd_sq_norm if d > 3 else _ascending_sq_norm
+    # order (c.T[..., k] is the row c[k]), except on the Box-Muller path.
+    sq_norm = _even_odd_sq_norm if d > 3 else lambda c: model.sq_norm_last(c.T)
     s2 = sq_norm(c)
     over = np.flatnonzero(s2 > delta * delta)
     shrink = 0.0

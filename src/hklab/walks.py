@@ -53,8 +53,8 @@ from .prng import run_keys
 
 # Stream units (uniforms, or bits for sign noise) in one noise chunk of
 # every chunked loop: the engine, the walks and the projected recursion.
-# 2M units bound the engine's chunk to 16 MB of uniforms, or of sign
-# draws beside their 2 MB of bits; the walks draw a chunk by tiles.
+# The walks draw a chunk by tiles; the engine cuts its chunks to an
+# eighth of it (engine._chunk_budget, 2 MB of doubles) and never past it.
 _CHUNK_ELEMS = 2_000_000
 
 # Stream units in one tile of a walk chunk: 512 KB of uniforms, so a

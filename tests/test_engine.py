@@ -328,6 +328,58 @@ def test_batch_holds_one_noise_chunk_at_a_time(monkeypatch):
     assert peak <= chunk + scratch + (64 << 10)
 
 
+def _traced_peak(fn):
+    """Traced peak of fn() in bytes, after one untraced warm-up call."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_two_cluster_batch_holds_one_chunk_budget():
+    # thm2a_d1's shape at 250 runs, a worker's share of a 500-run
+    # ensemble: each noise chunk is cut to about _chunk_budget() stream
+    # units, as is each segment's buffers, beside the (n, n, A) kernel
+    # buffers.  A chunk cut only at walks._CHUNK_ELEMS (16 MB) exceeds it.
+    cfg = preset("thm2a_d1")
+    model, runs = cfg.model, 250
+
+    def batch():
+        run_batch(model, cfg.ensemble.base_seed, np.arange(runs), 2000, extra_after_hit=1000)
+
+    budget = engine._chunk_budget() * 8
+    kernel = 2 * model.n**2 * runs * 8
+    assert _traced_peak(batch) <= 2 * budget + kernel + (512 << 10)
+
+
+def test_short_horizon_ensemble_holds_one_chunk_budget():
+    # AC-1's shape: 50 000 two-agent runs with sign noise to horizon 3 and
+    # a 10-step audit.  Each batch draws its whole span in one chunk, so
+    # run_ensemble cuts the batches to the chunk budget: each holds one
+    # chunk of float64 signs and one segment's buffers within
+    # _chunk_budget() doubles each.  The allowance covers the samples,
+    # about 25 bytes a run and held twice while they are joined.  One
+    # batch of all 50 000 runs drew 10 MB of signs.
+    cfg = ModelConfig(
+        n=2,
+        d=1,
+        epsilon=1.0,
+        space_mode="bounded",
+        noise=NoiseSpec("rademacher_axes", 0.5),
+        initial=InitialCondition("explicit", values=((-1.0,), (1.0,))),
+    )
+    runs = 50_000
+
+    def ensemble_run():
+        run_ensemble(cfg, runs, 3, 1, extra_after_hit=10)
+
+    budget = engine._chunk_budget() * 8
+    assert _traced_peak(ensemble_run) <= 2 * budget + 50 * runs + (1 << 20)
+
+
 def _segment_spy(monkeypatch):
     """Record (steps, truncated) for every lockstep segment run_batch takes.
 

@@ -1,12 +1,13 @@
 """Survival estimation, tail fits, and the multiprocess ensemble driver."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import hklab.ensemble as ensemble
-from hklab import walks
+from hklab import engine, walks
 from hklab.engine import BatchResult
 from hklab.ensemble import (
     MIN_FIT_POINTS,
@@ -24,7 +25,7 @@ from hklab.ensemble import (
     survival_grid,
 )
 from hklab.model import InitialCondition, ModelConfig
-from hklab.noise import NoiseSpec
+from hklab.noise import NoiseSpec, uniforms_per_draw
 
 
 def _samples(t_hits, horizon):
@@ -247,25 +248,57 @@ def test_serial_failed_batch_keeps_other_batches(monkeypatch):
     assert partial.summary.incomplete and partial.summary.runs == 8
 
 
-@pytest.mark.parametrize("n", [2, 10, 128, 300])
-def test_batches_never_exceed_width(monkeypatch, n):
-    # Each batch holds at most max(1, budget // n^2) runs: 10000, 400, 2
-    # and 1 (the indexed path) under a budget of 40 000.
-    budget = 40_000
-    width = max(1, budget // n**2)
+def _batch_sizes(monkeypatch, budget):
+    """The run count of every run_batch call, which returns fake samples."""
     batches = []
 
     def fake(cfg, base_seed, idxs, horizon, **kwargs):
         batches.append(len(idxs))
         ones = np.ones(len(idxs))
-        return BatchResult(walks._samples(idxs, ones, ones, np.zeros(len(idxs)), horizon, base_seed))
+        samples = walks._samples(idxs, ones, ones, np.zeros(len(idxs)), horizon, base_seed)
+        return BatchResult(samples, absorb_ok=ones.astype(bool))
 
     monkeypatch.setattr(walks, "_CHUNK_ELEMS", budget)
     monkeypatch.setattr(ensemble, "run_batch", fake)
+    return batches
+
+
+@pytest.mark.parametrize("n", [2, 10, 128, 300])
+def test_batches_never_exceed_width(monkeypatch, n):
+    # Each batch holds at most max(1, budget // n^2) runs: 10000, 400, 2
+    # and 1 (the indexed path) under a budget of 40 000.  The horizon
+    # draws more than engine._RUN_CHUNK_UNITS units a run, so no batch is
+    # cut to one chunk's budget.
+    budget = 40_000
+    width = max(1, budget // n**2)
+    batches = _batch_sizes(monkeypatch, budget)
     cfg = replace(_tiny_cfg(), n=n)
-    res = run_ensemble(cfg, 2 * width + 1, 10, base_seed=0, workers=1)
+    res = run_ensemble(cfg, 2 * width + 1, 10_000, base_seed=0, workers=1)
     assert [s.run_index for s in res.samples] == list(range(2 * width + 1))
     assert len(batches) == 3 and max(batches) <= width
+
+
+@pytest.mark.parametrize("n", [2, 10])
+def test_short_span_batches_fit_one_chunk_budget(monkeypatch, n):
+    # Runs that step at most horizon + extra_after_hit steps, drawing at
+    # most engine._RUN_CHUNK_UNITS units each, take one noise chunk per
+    # batch; each batch is cut so that chunk holds at most
+    # budget // _SEGMENT_SHARE units.  One step more than that floor keeps
+    # the n^2 width.
+    budget = 40_000
+    cfg = replace(_tiny_cfg(), n=n)
+    unit = n * uniforms_per_draw(cfg.noise.family, cfg.d)
+    chunk = budget // engine._SEGMENT_SHARE
+    floor = engine._RUN_CHUNK_UNITS // unit
+    for horizon, extra in ((3, 10), (floor - 20, 20)):
+        span = horizon + extra
+        batches = _batch_sizes(monkeypatch, budget)
+        run_ensemble(cfg, 1000, horizon, base_seed=0, workers=1, extra_after_hit=extra)
+        assert sum(batches) == 1000 and max(batches) * span * unit <= chunk
+        assert len(batches) == math.ceil(1000 / (chunk // (span * unit)))
+    batches = _batch_sizes(monkeypatch, budget)
+    run_ensemble(cfg, 1000, floor + 1, base_seed=0, workers=1)
+    assert len(batches) == math.ceil(1000 / (budget // n**2))
 
 
 def test_ensemble_rejects_zero_runs():

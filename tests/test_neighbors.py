@@ -1,6 +1,7 @@
 """Grid index vs brute-force scan: membership and sums must be bit-equal."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -172,6 +173,29 @@ def test_max_sq_dist_equals_full_scan(states, block_rows):
         assert max_sq_dist(states) == full
     finally:
         neighbors._BRUTE_BLOCK_ELEMS = saved
+
+
+def test_max_sq_dist_scans_many_rows_in_bounded_blocks():
+    # 10^4 agents: 9700 in a small disc at the center and 300 on the unit
+    # circle.  Every circle point's row bound exceeds the diameter, so the
+    # scan keeps hundreds of rows; its row blocks and their scratch hold
+    # 2 MB however many rows survive, where one block of all 300 rows took
+    # 48 MB.  The maximum equals the full scan's, taken here in blocks of
+    # 100 rows.
+    rng = np.random.default_rng(5)
+    theta = rng.uniform(0.0, 2.0 * np.pi, 300)
+    ring = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    states = np.concatenate([ring, rng.uniform(-0.1, 0.1, (9700, 2))])[rng.permutation(10_000)]
+    blocks = range(0, 10_000, 100)
+    full = max(float(pairwise_sq_dists(states[i : i + 100], states).max()) for i in blocks)
+    tracemalloc.start()
+    try:
+        got = max_sq_dist(states)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == full
+    assert peak <= (2 << 20) + (512 << 10)
 
 
 def test_query_always_contains_self_and_is_sorted():
